@@ -21,7 +21,6 @@ from .family import (
     SubstitutionRule,
     build_f,
     build_g,
-    build_phi,
     cayley_menger,
     prekite_reduction,
     special_family_substitution,
@@ -46,12 +45,10 @@ from .oracle import (
     SearchBudget,
     brute_force_factor_search,
     discriminant_check,
-    random_identity_test,
 )
 from .geometry import (
     DistanceTuple,
     RegularSimplex,
-    Role,
     regular_simplex,
     relation_residual,
     solve_fourth_distance,
@@ -76,7 +73,6 @@ __all__ = [
     "SubstitutionRule",
     "build_f",
     "build_g",
-    "build_phi",
     "cayley_menger",
     "prekite_reduction",
     "special_family_substitution",
@@ -97,10 +93,8 @@ __all__ = [
     "SearchBudget",
     "brute_force_factor_search",
     "discriminant_check",
-    "random_identity_test",
     "DistanceTuple",
     "RegularSimplex",
-    "Role",
     "regular_simplex",
     "relation_residual",
     "solve_fourth_distance",

@@ -27,17 +27,14 @@ from .family import (
     SubstitutionRule,
     build_f,
     build_g,
-    build_phi,
     cayley_menger,
     g_names,
-    phi_names,
     prekite_names,
     prekite_reduction,
     special_family_substitution,
 )
 from .field import CHAR2, Char2Token, FieldSpec, RATIONAL, CYCLOTOMIC, prime_field
 from .geometry import (
-    Role,
     quadruple_residual,
     random_affine_weights,
     regular_simplex,
@@ -136,20 +133,16 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if isinstance(field, Char2Token):
         raise UsageError("construct requires a concrete field, not the char-2 token")
     kind = args.family
-    if kind in ("g", "f", "phi"):
+    if kind in ("g", "f"):
         if args.m is None or args.t is None:
             raise UsageError(f"family {kind} requires --m and --t")
         if kind == "g":
             if args.a is None:
                 raise UsageError("family g requires --a")
             p = build_g(GParams.of(field, args.m, args.a, args.t))
-            names: Sequence[str] = g_names(args.m)
-        elif kind == "f":
-            p = build_f(field, args.m, args.t)
-            names = g_names(args.m)
         else:
-            p = build_phi(field, args.m, args.t)
-            names = phi_names(args.m)
+            p = build_f(field, args.m, args.t)
+        names: Sequence[str] = g_names(args.m)
     elif kind == "cayley-menger":
         if args.n is None:
             raise UsageError("cayley-menger requires --n")
@@ -203,7 +196,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         homogeneous_only=args.homogeneous,
         time_limit=args.time_limit,
     )
-    outcome = brute_force_factor_search(p, budget, jobs=args.jobs)
+    outcome = brute_force_factor_search(p, budget)
     if isinstance(outcome, FactorFound):
         payload: Dict[str, object] = {
             "outcome": "factor-found",
@@ -241,11 +234,9 @@ def cmd_geometry(args: argparse.Namespace) -> int:
         }
         return _emit(args, payload)
     known = [float(v) for v in args.known.split(",")]
-    role = Role(args.role)
-    solutions = solve_fourth_distance(known, role)
+    solutions = solve_fourth_distance(known)
     payload = {
         "known": known,
-        "role": role.value,
         "solutions": solutions,
         "residuals": [quadruple_residual(v, known) for v in solutions],
     }
@@ -284,7 +275,7 @@ def build_parser() -> _Parser:
 
     c = sub.add_parser("construct", help="emit a family member", parents=[common])
     c.add_argument("--family", required=True,
-                   choices=["g", "f", "phi", "cayley-menger", "prekite", "special"])
+                   choices=["g", "f", "cayley-menger", "prekite", "special"])
     c.add_argument("--field", default="Q")
     c.add_argument("--m", type=int)
     c.add_argument("--a")
@@ -310,7 +301,6 @@ def build_parser() -> _Parser:
     o.add_argument("--max-field-size", type=int, default=13)
     o.add_argument("--homogeneous", action="store_true")
     o.add_argument("--time-limit", type=float)
-    o.add_argument("--jobs", type=int, default=1)
     o.set_defaults(func=cmd_oracle)
 
     g = sub.add_parser("geometry", help="verify the distance relation numerically", parents=[common])
@@ -323,8 +313,6 @@ def build_parser() -> _Parser:
     gv.set_defaults(func=cmd_geometry)
     gs = gsub.add_parser("solve", parents=[common])
     gs.add_argument("--known", required=True, help="three comma-separated values")
-    gs.add_argument("--role", default=Role.SIDE_UNKNOWN.value,
-                    choices=[r.value for r in Role])
     gs.set_defaults(func=cmd_geometry)
 
     d = sub.add_parser("diophantine", help="enumerate integer solutions", parents=[common])

@@ -10,6 +10,7 @@ a solution.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
@@ -66,11 +67,15 @@ def _scan_prefixes(w_values: Tuple[int, ...], bound: int) -> List[Tuple[int, int
 def enumerate_solutions(bound: int, jobs: int = 1) -> List[SolutionTuple]:
     """All nonzero solutions with entries in [0, bound], sorted ascending.
 
-    The outer loop over the smallest entry is embarrassingly parallel;
-    results are merged and sorted, so the output does not depend on jobs.
+    The outer loop over the smallest entry is sharded over ``jobs`` worker
+    processes, at most one per CPU; results are merged and sorted, so the
+    output does not depend on jobs.
     """
     if bound < 1:
         raise ValueError(f"bound must be at least 1, got {bound}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     w_values = tuple(range(bound + 1))
     if jobs > 1:
         shards = [w_values[k::jobs] for k in range(jobs)]

@@ -61,21 +61,8 @@ def build_f(field: FieldSpec, m: int, t) -> Polynomial:
     return build_g(GParams.of(field, m, 0, t))
 
 
-def build_phi(field: FieldSpec, m: int, t) -> Polynomial:
-    """The inhomogeneous family with the offset as an extra indeterminate.
-
-    Identical to ``build_f`` in m + 1 variables; position 0 plays the role
-    of the first distance (use :func:`phi_names` when printing).
-    """
-    return build_f(field, m + 1, t)
-
-
 def g_names(m: int) -> Tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(m))
-
-
-def phi_names(m: int) -> Tuple[str, ...]:
-    return ("x",) + g_names(m)
 
 
 # -- Cayley-Menger -------------------------------------------------------------

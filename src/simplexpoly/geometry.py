@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from random import Random
 from typing import List, Optional, Sequence, Tuple
 
@@ -104,22 +103,12 @@ def random_affine_weights(n: int, rng: Random) -> List[float]:
             return [w / total for w in raw]
 
 
-class Role(Enum):
-    """Which quantity the fourth-distance puzzle treats as unknown.
-
-    The relation is fully symmetric in the side and the three distances,
-    so both roles solve the same quadratic; the role only documents intent.
-    """
-
-    SIDE_GIVEN = "side-given"
-    SIDE_UNKNOWN = "side-unknown"
-
-
-def solve_fourth_distance(
-    known: Sequence[float], role: Role = Role.SIDE_UNKNOWN
-) -> List[float]:
+def solve_fourth_distance(known: Sequence[float]) -> List[float]:
     """All nonnegative values completing three known ones to a quadruple
     satisfying the equilateral-triangle relation (n = 2).
+
+    The relation is symmetric in the side and the three distances, so the
+    unknown may be either.
 
     With s the squared unknown, the relation is -2 s^2 + 2 C s + (C^2 - 3D)
     where C and D are the sums of squares and of fourth powers of the known
@@ -130,8 +119,6 @@ def solve_fourth_distance(
         raise ValueError(f"exactly three known values required, got {len(known)}")
     if any(k < 0 or not math.isfinite(k) for k in known):
         raise ValueError("known values must be nonnegative and finite")
-    if not isinstance(role, Role):
-        raise ValueError(f"bad role {role!r}")
     c = sum(k * k for k in known)
     d = sum(k**4 for k in known)
     disc = 3.0 * (c * c - 2.0 * d)

@@ -17,15 +17,13 @@ the reported factor is always the first divisor in enumeration order.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .field import PRIME_KIND, FieldElement, FieldSpec, random_element
+from .field import PRIME_KIND, FieldElement, FieldSpec
 from .family import build_f
 from .poly import Monomial, Polynomial, grlex_key
 
@@ -131,7 +129,6 @@ def _accept_table(p_restricted: List[int], d: int, q: int) -> np.ndarray:
         for tail in np.ndindex(*([q] * e)):
             monic = list(tail) + [1]
             if _poly_divides(monic, p_restricted, q):
-                base_code = sum(c * powers[k] for k, c in enumerate(monic))
                 for lam in range(1, q):
                     code = sum(c * lam % q * powers[k] for k, c in enumerate(monic))
                     table[code] = True
@@ -140,7 +137,6 @@ def _accept_table(p_restricted: List[int], d: int, q: int) -> np.ndarray:
 
 @dataclass
 class _Slice:
-    coords: Tuple[int, ...]  # values of the non-distinguished variables
     weight_row: np.ndarray  # per-monomial scalar weight
     slot_row: np.ndarray  # per-monomial target y-degree
     table: np.ndarray
@@ -166,7 +162,7 @@ def _build_slices(
                     w = w * pow(coords[pos], exps[i], q) % q
             weights[jm] = w
             slots[jm] = exps[vy]
-        slices.append(_Slice(coords, weights, slots, _accept_table(restricted, d, q)))
+        slices.append(_Slice(weights, slots, _accept_table(restricted, d, q)))
         if len(slices) >= want:
             break
     return slices
@@ -190,12 +186,11 @@ def _candidate_polynomial(
 
 
 def brute_force_factor_search(
-    p: Polynomial, budget: SearchBudget = SearchBudget(), jobs: int = 1
+    p: Polynomial, budget: SearchBudget = SearchBudget()
 ) -> SearchOutcome:
     """Find the first monic proper divisor of p over F_q, or prove none exists.
 
-    Deterministic: identical inputs and budgets yield identical outcomes,
-    regardless of ``jobs`` (worker threads only shard the candidate filter).
+    Deterministic: identical inputs and budgets yield identical outcomes.
     """
     if p.field.kind != PRIME_KIND:
         raise ValueError("the brute-force search runs over prime fields only")
@@ -229,50 +224,41 @@ def brute_force_factor_search(
     deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
     vy = p.arity - 1
     tried = 0
-    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    try:
-        for d, monos, lead_count in plans:
-            slices = _build_slices(p, monos, d, vy, q) if p.arity >= 1 else []
-            mats = [(_slice_matrix(sl, d, q), sl.table) for sl in slices]
-            codes_base = np.array([q**k for k in range(d + 1)], dtype=np.int64)
-            # blocks with the latest possible leading monomial come first
-            for lead in range(lead_count - 1, -1, -1):
-                t_len = len(monos) - 1 - lead
-                n_block = q**t_len
-                tail_mats = [m[:, lead + 1 :] for m, _ in mats]
-                bases = [m[:, lead] for m, _ in mats]
-
-                def filter_chunk(start: int) -> Tuple[int, np.ndarray, np.ndarray]:
-                    stop = min(start + _CHUNK, n_block)
-                    ar = np.arange(start, stop, dtype=np.int64)
-                    tails = np.empty((stop - start, t_len), dtype=np.int64)
-                    for col in range(t_len):
-                        div = q ** (t_len - 1 - col)
-                        tails[:, col] = (ar // div) % q
-                    mask = np.ones(stop - start, dtype=bool)
-                    for k, (_, table) in enumerate(mats):
-                        y = (tails[mask] @ tail_mats[k].T + bases[k]) % q
-                        hits = table[y @ codes_base]
-                        idx = np.flatnonzero(mask)
-                        mask[idx[~hits]] = False
-                        if not mask.any():
-                            break
-                    return start, tails, mask
-
-                starts = range(0, n_block, _CHUNK)
-                results = pool.map(filter_chunk, starts) if pool else map(filter_chunk, starts)
-                for start, tails, mask in results:
+    for d, monos, lead_count in plans:
+        slices = _build_slices(p, monos, d, vy, q)
+        mats = [(_slice_matrix(sl, d, q), sl.table) for sl in slices]
+        codes_base = np.array([q**k for k in range(d + 1)], dtype=np.int64)
+        # blocks with the latest possible leading monomial come first
+        for lead in range(lead_count - 1, -1, -1):
+            t_len = len(monos) - 1 - lead
+            n_block = q**t_len
+            tail_mats = [m[:, lead + 1 :] for m, _ in mats]
+            bases = [m[:, lead] for m, _ in mats]
+            for start in range(0, n_block, _CHUNK):
+                if deadline is not None and time.monotonic() > deadline:
+                    return BudgetExceeded("time limit exceeded")
+                stop = min(start + _CHUNK, n_block)
+                ar = np.arange(start, stop, dtype=np.int64)
+                tails = np.empty((stop - start, t_len), dtype=np.int64)
+                for col in range(t_len):
+                    div = q ** (t_len - 1 - col)
+                    tails[:, col] = (ar // div) % q
+                mask = np.ones(stop - start, dtype=bool)
+                for k, (_, table) in enumerate(mats):
+                    y = (tails[mask] @ tail_mats[k].T + bases[k]) % q
+                    hits = table[y @ codes_base]
+                    idx = np.flatnonzero(mask)
+                    mask[idx[~hits]] = False
+                    if not mask.any():
+                        break
+                tried += len(tails)
+                for row in np.flatnonzero(mask):
                     if deadline is not None and time.monotonic() > deadline:
                         return BudgetExceeded("time limit exceeded")
-                    tried += len(tails)
-                    for row in np.flatnonzero(mask):
-                        cand = _candidate_polynomial(p.field, p.arity, monos, lead, tails[row])
-                        quotient = p.exact_divide(cand)
-                        if quotient is not None:
-                            return FactorFound(cand, quotient)
-    finally:
-        if pool:
-            pool.shutdown(wait=False, cancel_futures=True)
+                    cand = _candidate_polynomial(p.field, p.arity, monos, lead, tails[row])
+                    quotient = p.exact_divide(cand)
+                    if quotient is not None:
+                        return FactorFound(cand, quotient)
 
     if not exhaustive:
         return BudgetExceeded(
@@ -334,18 +320,3 @@ def discriminant_check(field: FieldSpec, m: int, t) -> bool:
         + s2**2
     ).scale(t * 8)
     return disc == expected
-
-
-def random_identity_test(
-    lhs: Polynomial, rhs: Polynomial, trials: int = 20, seed: int = 0
-) -> bool:
-    """Exact equality decision, cross-checked at random evaluation points."""
-    if lhs.field != rhs.field or lhs.arity != rhs.arity:
-        raise ValueError("identity test requires one common ring")
-    exact = (lhs - rhs).is_zero()
-    rng = Random(seed)
-    for _ in range(trials):
-        point = [random_element(lhs.field, rng) for _ in range(lhs.arity)]
-        if (lhs.evaluate(point) == rhs.evaluate(point)) != exact:
-            return False  # evaluation disagrees with the exact decision
-    return exact

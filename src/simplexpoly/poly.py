@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field as dataclass_field
+from operator import add
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .field import (
@@ -36,6 +37,22 @@ def grlex_key(exps: Monomial) -> tuple:
 
 def default_names(arity: int) -> Tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(arity))
+
+
+def _accumulate(
+    terms: Dict[Monomial, FieldElement],
+    items: Iterable[Tuple[Monomial, FieldElement]],
+) -> Dict[Monomial, FieldElement]:
+    """Add each (monomial, coefficient) of items into terms, dropping zeros."""
+    for exps, c in items:
+        prev = terms.get(exps)
+        if prev is not None:
+            c = prev + c
+        if c.is_zero():
+            terms.pop(exps, None)
+        else:
+            terms[exps] = c
+    return terms
 
 
 @dataclass(frozen=True)
@@ -64,12 +81,7 @@ class Polynomial:
             if c.spec != field:
                 raise ValueError(f"coefficient field {c.spec} does not match {field}")
             if not c.is_zero():
-                prev = terms.get(exps)
-                c = c if prev is None else prev + c
-                if c.is_zero():
-                    terms.pop(exps, None)
-                else:
-                    terms[exps] = c
+                terms[exps] = c
         return Polynomial(field, arity, terms)
 
     @staticmethod
@@ -146,14 +158,7 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            prev = terms.get(exps)
-            s = c if prev is None else prev + c
-            if s.is_zero():
-                terms.pop(exps, None)
-            else:
-                terms[exps] = s
+        terms = _accumulate(dict(self.terms), other.terms.items())
         return Polynomial(self.field, self.arity, terms)
 
     def __neg__(self) -> "Polynomial":
@@ -178,17 +183,14 @@ class Polynomial:
         self._check_ring(other)
         if len(self.terms) > len(other.terms):
             self, other = other, self
-        acc: Dict[Monomial, FieldElement] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                prev = acc.get(exps)
-                s = c if prev is None else prev + c
-                if s.is_zero():
-                    acc.pop(exps, None)
-                else:
-                    acc[exps] = s
+        acc = _accumulate(
+            {},
+            (
+                (tuple(map(add, e1, e2)), c1 * c2)
+                for e1, c1 in self.terms.items()
+                for e2, c2 in other.terms.items()
+            ),
+        )
         return Polynomial(self.field, self.arity, acc)
 
     def __rmul__(self, other):
@@ -252,14 +254,14 @@ class Polynomial:
                 powers[key] = full[i] ** e
             return powers[key]
 
-        result = Polynomial.zero(self.field, target_arity)
+        acc: Dict[Monomial, FieldElement] = {}
         for exps, c in self.terms.items():
             term = Polynomial.constant(self.field, target_arity, c)
             for i, e in enumerate(exps):
                 if e:
                     term = term * power(i, e)
-            result = result + term
-        return result
+            _accumulate(acc, term.terms.items())
+        return Polynomial(self.field, target_arity, acc)
 
     def substitute_squares(
         self,
@@ -269,31 +271,14 @@ class Polynomial:
         """Replace each squared variable x_i^2 by images[i].
 
         Requires every exponent in this polynomial to be even; exponent 2k
-        of variable i becomes images[i]^k.
+        of variable i becomes images[i]^k. Otherwise as :meth:`substitute`.
         """
-        for img in images.values():
-            if img.field != self.field or img.arity != arity:
-                raise ValueError("substitution image lives in the wrong ring")
-        powers: Dict[Tuple[int, int], Polynomial] = {}
-
-        def power(i: int, k: int) -> Polynomial:
-            key = (i, k)
-            if key not in powers:
-                powers[key] = images[i] ** k
-            return powers[key]
-
-        result = Polynomial.zero(self.field, arity)
-        for exps, c in self.terms.items():
-            term = Polynomial.constant(self.field, arity, c)
+        for exps in self.terms:
             for i, e in enumerate(exps):
-                if e:
-                    if e % 2:
-                        raise ValueError(
-                            f"variable {i} appears with odd exponent {e}"
-                        )
-                    term = term * power(i, e // 2)
-            result = result + term
-        return result
+                if e % 2:
+                    raise ValueError(f"variable {i} appears with odd exponent {e}")
+        halved = {tuple(e // 2 for e in exps): c for exps, c in self.terms.items()}
+        return Polynomial(self.field, self.arity, halved).substitute(images, arity)
 
     def permute_variables(self, perm: Sequence[int]) -> "Polynomial":
         """Apply the ring automorphism x_i -> x_perm[i]."""
@@ -329,14 +314,10 @@ class Polynomial:
                 return None
             c = rem[rlm] / dlc
             quot[shift] = c
-            for e, k in d.terms.items():
-                exps = tuple(a + b for a, b in zip(shift, e))
-                prev = rem.get(exps)
-                s = -(c * k) if prev is None else prev - c * k
-                if s.is_zero():
-                    rem.pop(exps, None)
-                else:
-                    rem[exps] = s
+            neg_c = -c
+            _accumulate(
+                rem, ((tuple(map(add, shift, e)), neg_c * k) for e, k in d.terms.items())
+            )
         return Polynomial(self.field, self.arity, quot)
 
     def symmetric_reduce(self, i: int, j: int) -> Optional["Polynomial"]:
@@ -367,7 +348,7 @@ class Polynomial:
                 )
             return power_sums[d]
 
-        result = Polynomial.zero(self.field, self.arity)
+        acc: Dict[Monomial, FieldElement] = {}
         for exps, c in self.terms.items():
             k, l = exps[i], exps[j]
             if k < l:
@@ -376,8 +357,8 @@ class Polynomial:
             rest[i] = 0
             rest[j] = l if k > l else k
             base = Polynomial(self.field, self.arity, {tuple(rest): c})
-            result = result + (base * power_sum(k - l) if k > l else base)
-        return result
+            _accumulate(acc, (base * power_sum(k - l) if k > l else base).terms.items())
+        return Polynomial(self.field, self.arity, acc)
 
     def __str__(self) -> str:
         return poly_to_text(self)
@@ -479,7 +460,7 @@ def parse_polynomial(
     compact = text.replace(" ", "")
     if not compact:
         raise ValueError("empty polynomial text")
-    total = Polynomial.zero(field, arity)
+    terms: Dict[Monomial, FieldElement] = {}
     for raw in _split_terms(compact):
         if not raw:
             continue
@@ -514,5 +495,5 @@ def parse_polynomial(
                 coeff = coeff * parse_element(field, factor)
         if sign < 0:
             coeff = -coeff
-        total = total + Polynomial.from_terms(field, arity, {tuple(exps): coeff})
-    return total
+        _accumulate(terms, [(tuple(exps), coeff)])
+    return Polynomial(field, arity, terms)

@@ -1,5 +1,6 @@
 import json
 
+import simplexpoly
 from simplexpoly.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -148,11 +149,37 @@ class TestDiophantineCommand:
         assert code == EXIT_OK
         assert [3, 5, 7, 8] in report["payload"]["solutions"]
 
+    def test_jobs_below_one_is_usage_error(self, capsys):
+        assert main(["diophantine", "--bound", "5", "--jobs", "0"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error")
+
     def test_primitive_only(self, capsys):
         code, report = run_json(capsys, "diophantine", "--bound", "10", "--primitive-only")
         assert code == EXIT_OK
         assert report["payload"]["solutions"] == [[0, 1, 1, 1], [3, 5, 7, 8]]
         assert all(report["payload"]["primitive"])
+
+
+class TestRemovedOptions:
+    def test_geometry_role(self, capsys):
+        argv = ["geometry", "solve", "--known", "3,4,5", "--role", "side-given"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error")
+
+    def test_oracle_jobs(self, capsys):
+        argv = ["oracle", "--poly", "x^2+y^2", "--field", "5", "--vars", "x,y", "--jobs", "2"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error")
+
+    def test_construct_phi(self, capsys):
+        argv = ["construct", "--family", "phi", "--m", "3", "--t", "2"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error")
+
+
+def test_public_names_resolve():
+    for name in simplexpoly.__all__:
+        assert hasattr(simplexpoly, name), name
 
 
 class TestReportShape:

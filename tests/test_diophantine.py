@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from simplexpoly import diophantine
 from simplexpoly.diophantine import (
     SolutionTuple,
     enumerate_solutions,
@@ -94,6 +95,32 @@ class TestEnumerate:
     def test_jobs_match_serial(self):
         serial = enumerate_solutions(16)
         assert enumerate_solutions(16, jobs=3) == serial
+
+    def test_bad_jobs(self):
+        with pytest.raises(ValueError):
+            enumerate_solutions(5, jobs=0)
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        # a fake pool runs the shards in-process and records the worker count
+        workers = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(diophantine, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(diophantine.os, "cpu_count", lambda: 4)
+        assert enumerate_solutions(16, jobs=1000) == enumerate_solutions(16)
+        assert workers == [4]
 
 
 class TestRealizability:

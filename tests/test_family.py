@@ -12,7 +12,6 @@ from simplexpoly.family import (
     SubstitutionRule,
     build_f,
     build_g,
-    build_phi,
     cayley_menger,
     prekite_reduction,
     special_family_substitution,
@@ -48,9 +47,6 @@ class TestBuildG:
     def test_parameters_must_match_field(self):
         with pytest.raises(ValueError):
             GParams(Q, 3, prime_field(5).one(), Q.one())
-
-    def test_phi_is_f_with_extra_variable(self):
-        assert build_phi(Q, 3, 4) == build_f(Q, 4, 4)
 
     def test_leading_component_forgets_offset(self):
         # the top-degree part of the a != 0 member is the a = 0 member

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from simplexpoly.geometry import (
-    Role,
     quadruple_residual,
     random_affine_weights,
     realize_in_plane,
@@ -136,12 +135,6 @@ class TestSolveFourthDistance:
             for v in solve_fourth_distance(known):
                 assert abs(quadruple_residual(v, known)) < 1e-9
 
-    def test_roles_are_equivalent(self):
-        known = [5.0, 7.0, 8.0]
-        assert solve_fourth_distance(known, Role.SIDE_GIVEN) == solve_fourth_distance(
-            known, Role.SIDE_UNKNOWN
-        )
-
     def test_no_solution_is_empty_list(self):
         assert solve_fourth_distance([0.0, 0.0, 10.0]) == []
 
@@ -151,7 +144,7 @@ class TestSolveFourthDistance:
         with pytest.raises(ValueError):
             solve_fourth_distance([-1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
-            solve_fourth_distance([1.0, 2.0, 3.0], role="side-given")
+            solve_fourth_distance([1.0, 2.0, math.inf])
 
     def test_vertex_distance_pattern(self):
         # distances (0, a, a) from a vertex force the side itself as a solution

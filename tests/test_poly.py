@@ -121,6 +121,21 @@ class TestSubstitute:
         lifted = g.substitute({}, arity=4)
         assert h == lifted
 
+    def test_substitute_squares_matches_substitute(self, any_field):
+        # x_i^2 -> y_i^2 on an even polynomial is the same map as x_i -> y_i
+        rng = Random(31)
+        for _ in range(20):
+            half = random_polynomial(any_field, 3, rng, max_exp=2)
+            p = Polynomial(
+                any_field, 3, {tuple(2 * e for e in exps): c for exps, c in half.terms.items()}
+            )
+            images = {
+                i: random_polynomial(any_field, 2, rng, max_exp=1, max_terms=3)
+                for i in range(3)
+            }
+            squares = {i: y**2 for i, y in images.items()}
+            assert p.substitute_squares(squares, 2) == p.substitute(images, 2)
+
     def test_substitute_squares_requires_even(self):
         x, y = variables(Q, 2)
         with pytest.raises(ValueError):
