@@ -178,14 +178,6 @@ def factor_quadratic(a: FieldElement, b: FieldElement, c: FieldElement) -> Verdi
     return _certify(quad, a, factors, rule)
 
 
-def _diagonal_poly(field: FieldSpec, coeffs: Sequence[FieldElement]) -> Polynomial:
-    m = len(coeffs) - 1
-    p = Polynomial.constant(field, m, coeffs[0])
-    for j in range(1, m + 1):
-        p = p + Polynomial.variable(field, m, j - 1, 2).scale(coeffs[j])
-    return p
-
-
 def classify_diagonal_quadratic(
     field: Union[FieldSpec, Char2Token],
     coeffs: Sequence[Union[FieldElement, int, Fraction, str]],
@@ -205,10 +197,8 @@ def classify_diagonal_quadratic(
         if any(c % 2 == 0 for c in ints[1:]):
             raise ValueError("a square coefficient vanishes in characteristic 2")
         t0 = ints[0] % 2
-        lift = _diagonal_poly(RATIONAL, [RATIONAL.from_int(t0)] + [RATIONAL.one()] * m)
-        linear = Polynomial.constant(RATIONAL, m, t0)
-        for j in range(m):
-            linear = linear + Polynomial.variable(RATIONAL, m, j)
+        lift = Polynomial.diagonal(RATIONAL, t0, [1] * m, 2)
+        linear = Polynomial.diagonal(RATIONAL, t0, [1] * m, 1)
         rule = ClassificationRule(
             "DiagonalQuadratic", {"char": "2", "case": "1", "m": str(m)}
         )
@@ -217,7 +207,7 @@ def classify_diagonal_quadratic(
     cs = [field.coerce(c) for c in coeffs]
     if any(c.is_zero() for c in cs[1:]):
         raise ValueError("square coefficients must be nonzero")
-    poly = _diagonal_poly(field, cs)
+    poly = Polynomial.diagonal(field, cs[0], cs[1:], 2)
     inv = cs[m].inverse()
     ratios = [c * inv for c in cs]  # t_j = c_j / c_m
     roots = [is_square(-ratios[j]) for j in range(m)]
@@ -266,6 +256,18 @@ def classify_diagonal_quadratic(
 # -- the quartic family ------------------------------------------------------------
 
 
+def _heron_factors(
+    x: Polynomial, y: Polynomial, z: Polynomial
+) -> List[Tuple[Polynomial, int, Claim]]:
+    """The four linear factors of the Heron polynomial in x, y, z."""
+    return [
+        (x + y + z, 1, Claim.IRREDUCIBLE),
+        (-x + y + z, 1, Claim.IRREDUCIBLE),
+        (x - y + z, 1, Claim.IRREDUCIBLE),
+        (x + y - z, 1, Claim.IRREDUCIBLE),
+    ]
+
+
 def _classify_g_char2(params: Char2GParams) -> Verdict:
     a, t, m = params.a % 2, params.t % 2, params.m
     if t == 1:
@@ -274,9 +276,7 @@ def _classify_g_char2(params: Char2GParams) -> Verdict:
         )
         return ZeroPolynomial(rule)
     lift = build_g(GParams.of(RATIONAL, m, a, t))
-    linear = Polynomial.constant(RATIONAL, m, a)
-    for j in range(m):
-        linear = linear + Polynomial.variable(RATIONAL, m, j)
+    linear = Polynomial.diagonal(RATIONAL, a, [1] * m, 1)
     rule = ClassificationRule(
         "Char2Collapse", {"char": "2", "t": str(t), "a": str(a), "m": str(m)}
     )
@@ -307,9 +307,7 @@ def classify_g(params: Union[GParams, Char2GParams]) -> Verdict:
     base = {"char": _char_str(field), "m": str(m)}
 
     if params.t.is_zero():
-        quadric = Polynomial.constant(field, m, params.a**2)
-        for i in range(m):
-            quadric = quadric + Polynomial.variable(field, m, i, 2)
+        quadric = Polynomial.diagonal(field, params.a**2, [1] * m, 2)
         rule = ClassificationRule("TZeroSquare", {**base, "t": "0"})
         return _certify(g, field.one(), [(quadric, 2, Claim.IRREDUCIBLE)], rule)
 
@@ -321,17 +319,10 @@ def classify_g(params: Union[GParams, Char2GParams]) -> Verdict:
         )
         return Irreducible(g, rule)
 
-    xs = [Polynomial.variable(field, m, i) for i in range(m)]
     if m == 3 and params.t == field.from_int(2):
-        x, y, z = xs
         rule = ClassificationRule("HeronCase", {**base, "a": "0", "t": "2"})
-        factors = [
-            (x + y + z, 1, Claim.IRREDUCIBLE),
-            (-x + y + z, 1, Claim.IRREDUCIBLE),
-            (x - y + z, 1, Claim.IRREDUCIBLE),
-            (x + y - z, 1, Claim.IRREDUCIBLE),
-        ]
-        return _certify(g, field.one(), factors, rule)
+        xyz = [Polynomial.variable(field, 3, i) for i in range(3)]
+        return _certify(g, field.one(), _heron_factors(*xyz), rule)
 
     if m == 3 and params.t == field.from_int(3):
         omega = primitive_cube_root(field)
@@ -341,15 +332,14 @@ def classify_g(params: Union[GParams, Char2GParams]) -> Verdict:
                 {**base, "a": "0", "t": "3", "omega_exists": "false"},
             )
             return Irreducible(g, rule)
-        x, y, z = xs
         omega2 = omega * omega
         rule = ClassificationRule(
             "OmegaCase",
             {**base, "a": "0", "t": "3", "omega": element_to_text(omega)},
         )
         factors = [
-            (x**2 + y.scale(omega) * y + z.scale(omega2) * z, 1, Claim.IRREDUCIBLE),
-            (x**2 + y.scale(omega2) * y + z.scale(omega) * z, 1, Claim.IRREDUCIBLE),
+            (Polynomial.diagonal(field, 0, [1, omega, omega2], 2), 1, Claim.IRREDUCIBLE),
+            (Polynomial.diagonal(field, 0, [1, omega2, omega], 2), 1, Claim.IRREDUCIBLE),
         ]
         return _certify(g, field.from_int(-2), factors, rule)
 
@@ -371,7 +361,7 @@ def classify_cayley_menger(field: Union[FieldSpec, Char2Token], n: int) -> Verdi
     if n >= 3:
         # the verdict holds for every n >= 3; the symbolic determinant is
         # attached only within the constructor's size guard
-        poly = cayley_menger(n, field) if n <= 6 else None
+        poly = cayley_menger(n, field) if n <= CayleyMengerRing.max_n else None
         return Irreducible(poly, ClassificationRule("IrreducibleCayleyMenger", base))
     m = cayley_menger(n, field)
     ring = CayleyMengerRing(2)
@@ -379,13 +369,7 @@ def classify_cayley_menger(field: Union[FieldSpec, Char2Token], n: int) -> Verdi
     y = Polynomial.variable(field, 3, ring.position(1, 3))
     x = Polynomial.variable(field, 3, ring.position(2, 3))
     rule = ClassificationRule("HeronCayleyMenger", base)
-    factors = [
-        (x + y + z, 1, Claim.IRREDUCIBLE),
-        (-x + y + z, 1, Claim.IRREDUCIBLE),
-        (x - y + z, 1, Claim.IRREDUCIBLE),
-        (x + y - z, 1, Claim.IRREDUCIBLE),
-    ]
-    return _certify(m, field.from_int(-1), factors, rule)
+    return _certify(m, field.from_int(-1), _heron_factors(x, y, z), rule)
 
 
 # -- reporting ---------------------------------------------------------------------

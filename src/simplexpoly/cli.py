@@ -28,7 +28,6 @@ from .family import (
     build_f,
     build_g,
     cayley_menger,
-    g_names,
     prekite_names,
     prekite_reduction,
     special_family_substitution,
@@ -142,7 +141,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
             p = build_g(GParams.of(field, args.m, args.a, args.t))
         else:
             p = build_f(field, args.m, args.t)
-        names: Sequence[str] = g_names(args.m)
+        names: Sequence[str] = default_names(args.m)
     elif kind == "cayley-menger":
         if args.n is None:
             raise UsageError("cayley-menger requires --n")
@@ -172,7 +171,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         if args.n is None:
             raise UsageError("--cayley-menger requires --n")
         verdict = classify_cayley_menger(field, args.n)
-        names: Optional[Sequence[str]] = CayleyMengerRing(args.n).names if args.n <= 6 else None
+        names = CayleyMengerRing(args.n).names if args.n <= CayleyMengerRing.max_n else None
     else:
         if args.m is None or args.a is None or args.t is None:
             raise UsageError("classify requires --m, --a and --t (or --cayley-menger)")
@@ -180,7 +179,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
             verdict = classify_g(Char2GParams(args.m, int(args.a), int(args.t)))
         else:
             verdict = classify_g(GParams.of(field, args.m, args.a, args.t))
-        names = g_names(args.m)
+        names = default_names(args.m)
     return _emit(args, verdict_to_json(verdict, names))
 
 
@@ -298,7 +297,7 @@ def build_parser() -> _Parser:
     o.add_argument("--field", type=int, required=True, help="odd prime modulus")
     o.add_argument("--vars", required=True, help="comma-separated variable names")
     o.add_argument("--max-degree", type=int)
-    o.add_argument("--max-field-size", type=int, default=13)
+    o.add_argument("--max-field-size", type=int, default=SearchBudget.max_field_size)
     o.add_argument("--homogeneous", action="store_true")
     o.add_argument("--time-limit", type=float)
     o.set_defaults(func=cmd_oracle)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Tuple
+from typing import ClassVar, Dict, List, Tuple
 
 from .field import RATIONAL, FieldElement, FieldSpec
 from .poly import Polynomial
@@ -46,23 +46,15 @@ class GParams:
 
 def build_g(params: GParams) -> Polynomial:
     """The quartic (a^2 + sum x_i^2)^2 - t (a^4 + sum x_i^4), expanded."""
-    field, m = params.field, params.m
-    squares = Polynomial.constant(field, m, params.a**2)
-    fourths = Polynomial.constant(field, m, params.a**4)
-    for i in range(m):
-        x = Polynomial.variable(field, m, i)
-        squares = squares + x**2
-        fourths = fourths + x**4
+    ones = [1] * params.m
+    squares = Polynomial.diagonal(params.field, params.a**2, ones, 2)
+    fourths = Polynomial.diagonal(params.field, params.a**4, ones, 4)
     return squares**2 - fourths.scale(params.t)
 
 
 def build_f(field: FieldSpec, m: int, t) -> Polynomial:
     """The homogeneous member (sum x_i^2)^2 - t sum x_i^4 (the a = 0 case)."""
     return build_g(GParams.of(field, m, 0, t))
-
-
-def g_names(m: int) -> Tuple[str, ...]:
-    return tuple(f"x{i + 1}" for i in range(m))
 
 
 # -- Cayley-Menger -------------------------------------------------------------
@@ -78,10 +70,11 @@ class CayleyMengerRing:
     """
 
     n: int
+    max_n: ClassVar[int] = 6  # largest dimension whose determinant is built
 
     def __post_init__(self) -> None:
-        if not 2 <= self.n <= 6:
-            raise ValueError(f"simplex dimension must be in 2..6, got {self.n}")
+        if not 2 <= self.n <= self.max_n:
+            raise ValueError(f"simplex dimension must be in 2..{self.max_n}, got {self.n}")
 
     @property
     def arity(self) -> int:
@@ -183,14 +176,7 @@ def prekite_reduction(n: int, field: FieldSpec = RATIONAL) -> Tuple[Polynomial, 
         else:
             images[ring.position(i, j)] = Polynomial.variable(field, target_arity, i)
     m_star = cayley_menger(n, field).substitute(images, arity=target_arity)
-
-    sq = x**2
-    quart = x**4
-    for i in range(1, target_arity):
-        y = Polynomial.variable(field, target_arity, i)
-        sq = sq + y**2
-        quart = quart + y**4
-    h = quart.scale(n) - sq**2
+    h = -build_f(field, target_arity, n)
 
     if m_star != ((-(x**2)) ** (n - 2)) * h:
         raise InternalCheckError(

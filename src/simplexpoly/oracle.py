@@ -28,6 +28,7 @@ from .family import build_f
 from .poly import Monomial, Polynomial, grlex_key
 
 _CHUNK = 1 << 18
+_SLICES = 2  # number of lines the candidate filter restricts to
 
 
 @dataclass(frozen=True)
@@ -80,22 +81,21 @@ def _monomials_desc(arity: int, degree: int, exact: bool) -> List[Monomial]:
     return monos
 
 
-def _restrict_coeffs(p: Polynomial, coords: Sequence[int], vy: int, q: int) -> List[int]:
-    """Coefficients of p with every variable except vy pinned to coords."""
-    deg = p.degree() or 0
-    out = [0] * (deg + 1)
-    for exps, c in p.terms.items():
+def _line_matrix(
+    monos: Sequence[Monomial], coords: Sequence[int], vy: int, q: int, deg: int
+) -> np.ndarray:
+    """(deg+1) x len(monos) map from coefficients to y-coefficients on a line.
+
+    The line pins every variable except vy to coords, in order; column j
+    holds the value of monos[j] there, in the row of its y-degree.
+    """
+    mat = np.zeros((deg + 1, len(monos)), dtype=np.int64)
+    for j, exps in enumerate(monos):
         w = 1
-        pos = 0
-        for i, e in enumerate(exps):
-            if i == vy:
-                continue
-            w = w * pow(coords[pos], e, q) % q if e else w
-            pos += 1
-        out[exps[vy]] = (out[exps[vy]] + c.value * w) % q
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+        for c, e in zip(coords, exps[:vy] + exps[vy + 1 :]):
+            w = w * pow(c, e, q) % q
+        mat[exps[vy], j] = w
+    return mat
 
 
 def _poly_divides(d: Sequence[int], p: Sequence[int], q: int) -> bool:
@@ -133,46 +133,6 @@ def _accept_table(p_restricted: List[int], d: int, q: int) -> np.ndarray:
                     code = sum(c * lam % q * powers[k] for k, c in enumerate(monic))
                     table[code] = True
     return table
-
-
-@dataclass
-class _Slice:
-    weight_row: np.ndarray  # per-monomial scalar weight
-    slot_row: np.ndarray  # per-monomial target y-degree
-    table: np.ndarray
-
-
-def _build_slices(
-    p: Polynomial, monos: List[Monomial], d: int, vy: int, q: int, want: int = 2
-) -> List[_Slice]:
-    slices: List[_Slice] = []
-    arity = p.arity
-    others = [i for i in range(arity) if i != vy]
-    for s in range(q):
-        coords = tuple(s if k == 0 else 1 for k in range(len(others)))
-        restricted = _restrict_coeffs(p, coords, vy, q)
-        if not restricted:
-            continue  # uninformative slice: the input vanishes on this line
-        weights = np.empty(len(monos), dtype=np.int64)
-        slots = np.empty(len(monos), dtype=np.int64)
-        for jm, exps in enumerate(monos):
-            w = 1
-            for pos, i in enumerate(others):
-                if exps[i]:
-                    w = w * pow(coords[pos], exps[i], q) % q
-            weights[jm] = w
-            slots[jm] = exps[vy]
-        slices.append(_Slice(weights, slots, _accept_table(restricted, d, q)))
-        if len(slices) >= want:
-            break
-    return slices
-
-
-def _slice_matrix(sl: _Slice, d: int, q: int) -> np.ndarray:
-    """(d+1) x n_monomials map from candidate coefficients to y-coefficients."""
-    w = np.zeros((d + 1, len(sl.weight_row)), dtype=np.int64)
-    w[sl.slot_row, np.arange(len(sl.weight_row))] = sl.weight_row
-    return w
 
 
 def _candidate_polynomial(
@@ -222,18 +182,27 @@ def brute_force_factor_search(
         )
 
     deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
+    # filter lines pin every variable but the last to (s, 1, ..., 1); keep the
+    # first _SLICES on which p does not vanish, with p's restriction there
     vy = p.arity - 1
+    coeffs = np.array([c.value for c in p.terms.values()], dtype=np.int64)
+    lines = []
+    for s in range(q):
+        coords = (s,) + (1,) * (p.arity - 2)
+        restricted = _line_matrix(list(p.terms), coords, vy, q, deg) @ coeffs % q
+        if restricted.any():
+            lines.append((coords, np.trim_zeros(restricted, "b").tolist()))
+            if len(lines) == _SLICES:
+                break
     tried = 0
     for d, monos, lead_count in plans:
-        slices = _build_slices(p, monos, d, vy, q)
-        mats = [(_slice_matrix(sl, d, q), sl.table) for sl in slices]
+        mats = [(_line_matrix(monos, c, vy, q, d), _accept_table(r, d, q)) for c, r in lines]
         codes_base = np.array([q**k for k in range(d + 1)], dtype=np.int64)
         # blocks with the latest possible leading monomial come first
         for lead in range(lead_count - 1, -1, -1):
             t_len = len(monos) - 1 - lead
             n_block = q**t_len
-            tail_mats = [m[:, lead + 1 :] for m, _ in mats]
-            bases = [m[:, lead] for m, _ in mats]
+            filters = [(m[:, lead + 1 :].T, m[:, lead], table) for m, table in mats]
             for start in range(0, n_block, _CHUNK):
                 if deadline is not None and time.monotonic() > deadline:
                     return BudgetExceeded("time limit exceeded")
@@ -244,8 +213,8 @@ def brute_force_factor_search(
                     div = q ** (t_len - 1 - col)
                     tails[:, col] = (ar // div) % q
                 mask = np.ones(stop - start, dtype=bool)
-                for k, (_, table) in enumerate(mats):
-                    y = (tails[mask] @ tail_mats[k].T + bases[k]) % q
+                for tail_mat, base, table in filters:
+                    y = (tails[mask] @ tail_mat + base) % q
                     hits = table[y @ codes_base]
                     idx = np.flatnonzero(mask)
                     mask[idx[~hits]] = False
@@ -306,12 +275,9 @@ def discriminant_check(field: FieldSpec, m: int, t) -> bool:
     disc = a1 * a1 - a2 * a0 * 4
 
     u = Polynomial.variable(field, m, m - 2)
-    s2 = Polynomial.zero(field, m)
-    s4 = Polynomial.zero(field, m)
-    for i in range(m - 2):
-        x = Polynomial.variable(field, m, i)
-        s2 = s2 + x**2
-        s4 = s4 + x**4
+    rest = [1] * (m - 2) + [0, 0]
+    s2 = Polynomial.diagonal(field, 0, rest, 2)
+    s4 = Polynomial.diagonal(field, 0, rest, 4)
     one = field.one()
     expected = (
         u**4 * (t - one)

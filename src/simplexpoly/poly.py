@@ -96,6 +96,17 @@ class Polynomial:
         return Polynomial(field, arity, {(0,) * arity: c})
 
     @staticmethod
+    def diagonal(field: FieldSpec, const, coeffs: Sequence, power: int) -> "Polynomial":
+        """const + sum_i coeffs[i] * x_i^power in len(coeffs) variables."""
+        if power < 1:
+            raise ValueError(f"diagonal power must be at least 1, got {power}")
+        arity = len(coeffs)
+        raw = {(0,) * arity: field.coerce(const)}
+        for i, c in enumerate(coeffs):
+            raw[(0,) * i + (power,) + (0,) * (arity - 1 - i)] = field.coerce(c)
+        return Polynomial.from_terms(field, arity, raw)
+
+    @staticmethod
     def variable(field: FieldSpec, arity: int, i: int, power: int = 1) -> "Polynomial":
         if not 0 <= i < arity:
             raise ValueError(f"variable index {i} out of range for arity {arity}")
@@ -199,14 +210,11 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.constant(self.field, self.arity, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if n <= 1:
+            return self if n else Polynomial.constant(self.field, self.arity, 1)
+        half = self ** (n // 2)
+        square = half * half
+        return square * self if n % 2 else square
 
     # -- structural operations ---------------------------------------------------
 

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 import simplexpoly
 from simplexpoly.cli import (
@@ -180,6 +183,41 @@ class TestRemovedOptions:
 def test_public_names_resolve():
     for name in simplexpoly.__all__:
         assert hasattr(simplexpoly, name), name
+
+
+# Exit code and sha256 of stdout for the exact-arithmetic README examples.
+# A change that alters one of these reports must update its pin on purpose.
+README_EXAMPLES = [
+    ("classify --field Q --m 3 --a 0 --t 2", 0,
+     "551b320a6dcd26695d174b311af2ca39567e00724f9d332f0003bbcf38d570e2"),
+    ("classify --field F5 --m 3 --a 0 --t 7", 0,
+     "98e2cd1c9626bcb5e219de3e48a978d11ffd2a9911f63720088635c69debf815"),
+    ("classify --field F7 --m 3 --a 0 --t 3", 0,
+     "0ddb575d7c8a8a1d9b334c7a5621d42e82dbcf3e80628a5fbe43d466bc956cd3"),
+    ("classify --field Q --cayley-menger --n 3", 0,
+     "63980bddc9a2aed5fc9dc743abb3fd9df168143acea11722d0547b0e14541141"),
+    ("classify --field char2 --m 3 --a 1 --t 0", 0,
+     "422564e861f7a46177914a3419744ed18dfb17fac3e522a6a47029fdb68795a4"),
+    ("construct --family f --field Q --m 3 --t 2", 0,
+     "c86bd84b54bbac26463f21ef830dc014fd04ba70c1b41b49c650a919fa610385"),
+    ("construct --family prekite --n 4", 0,
+     "f9f4dd9b02780555edf9be7a94a17fa9c011fd844c84be6793e8eae50b04a7fa"),
+    ("oracle --poly x^2+y^2 --field 5 --vars x,y", 0,
+     "1bafe300c6f06300003a9bce8878c3d0142eef21da195b18603d1db69e535b35"),
+    ("oracle --poly x^4+x^2*y^2+y^4 --field 7 --vars x,y --homogeneous", 0,
+     "4ac1a15bded6ad236d6dfbb2a44a32035b43d5888d73d48390091a998f36f433"),
+    ("diophantine --bound 20 --primitive-only", 0,
+     "2b509ca74227e4ac05b2dc8c696207abe11a0321067f9f70f9d50fbdb5b2d0e4"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest", README_EXAMPLES, ids=[a for a, _, _ in README_EXAMPLES]
+)
+def test_readme_example_report_pinned(capsys, argv, code, digest):
+    got, out = run(capsys, *argv.split())
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestReportShape:

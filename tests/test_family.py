@@ -137,6 +137,10 @@ class TestPrekite:
         # H for n = 3 equals minus the homogeneous quartic with t = 3 in 4 variables
         _, h = prekite_reduction(3)
         assert h == -build_f(Q, 4, 3)
+        x, *ys = [Polynomial.variable(Q, 4, i) for i in range(4)]
+        squares = x**2 + sum((y**2 for y in ys), Polynomial.zero(Q, 4))
+        fourths = x**4 + sum((y**4 for y in ys), Polynomial.zero(Q, 4))
+        assert h == fourths.scale(3) - squares**2
 
     def test_division_recovers_core(self):
         m_star, h = prekite_reduction(4)

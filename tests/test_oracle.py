@@ -146,6 +146,22 @@ class TestBruteForceSearch:
                 assert isinstance(sub, NoFactorFound)
 
 
+def test_line_matrix_restriction_matches_evaluation():
+    q = 5
+    field = prime_field(q)
+    rng = Random(17)
+    for _ in range(30):
+        p = random_polynomial(field, 3, rng, nonzero=True)
+        coords, vy = (rng.randrange(q), rng.randrange(q)), rng.randrange(3)
+        mat = oracle._line_matrix(list(p.terms), coords, vy, q, p.degree())
+        restricted = mat @ [c.value for c in p.terms.values()] % q
+        for y in range(q):
+            point = list(coords)
+            point.insert(vy, y)
+            value = p.evaluate([field.from_int(v) for v in point])
+            assert sum(int(c) * y**k for k, c in enumerate(restricted)) % q == value.value
+
+
 class TestDiscriminantCheck:
     @pytest.mark.parametrize(
         "field,m,t",

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from simplexpoly.field import CYCLOTOMIC, RATIONAL, prime_field
+from simplexpoly.field import CYCLOTOMIC, RATIONAL, prime_field, random_element
 from simplexpoly.poly import (
     Polynomial,
     elementary_symmetric,
@@ -61,7 +61,50 @@ class TestRingOps:
         x, y = variables(Q, 2)
         p = x + y.scale(2)
         assert p**0 == Polynomial.constant(Q, 2, 1)
-        assert p**3 == p * p * p
+        assert Polynomial.zero(Q, 2) ** 0 == Polynomial.constant(Q, 2, 1)
+        expected = p
+        for n in range(1, 8):
+            assert p**n == expected
+            expected = expected * p
+
+    def test_pow_multiplication_count(self, monkeypatch):
+        x, y = variables(Q, 2)
+        p = x + y.scale(2)
+        calls = []
+        mul = Polynomial.__mul__
+
+        def counted(self, other):
+            calls.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        for n, expected in [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3)]:
+            calls.clear()
+            p**n
+            assert len(calls) == expected, n
+
+
+class TestDiagonal:
+    def test_matches_hand_built_sum(self, any_field):
+        rng = Random(11)
+        for power in (1, 2, 4):
+            const = random_element(any_field, rng)
+            coeffs = [random_element(any_field, rng) for _ in range(4)]
+            expected = Polynomial.constant(any_field, 4, const)
+            for i, c in enumerate(coeffs):
+                expected = expected + Polynomial.variable(any_field, 4, i, power).scale(c)
+            assert Polynomial.diagonal(any_field, const, coeffs, power) == expected
+
+    def test_zero_coefficients_dropped(self, any_field):
+        p = Polynomial.diagonal(any_field, 0, [1] * 3 + [0, 0], 2)
+        assert p.arity == 5
+        assert set(p.terms) == {(2, 0, 0, 0, 0), (0, 2, 0, 0, 0), (0, 0, 2, 0, 0)}
+        assert Polynomial.diagonal(any_field, 0, [0, 0], 4).is_zero()
+
+    def test_power_below_one_rejected(self):
+        for power in (0, -1):
+            with pytest.raises(ValueError):
+                Polynomial.diagonal(Q, 1, [1, 1], power)
 
 
 class TestStructure:
