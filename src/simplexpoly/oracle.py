@@ -8,10 +8,14 @@ inputs only need homogeneous candidates, since every factor of a homogeneous
 polynomial is homogeneous.
 
 The search is exhaustive within its budget or reports BudgetExceeded, never
-a silent partial answer. A cheap necessary-condition filter (restriction to
-a line must divide the restricted input) prunes candidates in bulk with
-numpy before any exact division runs; it only ever rejects non-divisors, so
-the reported factor is always the first divisor in enumeration order.
+a silent partial answer. A cheap necessary-condition filter prunes
+candidates in bulk with numpy before any exact division runs: on each of up
+to eight axis-parallel lines where the input does not vanish, a candidate's
+restriction must divide the input's restriction, which a lookup table of
+the restricted divisors decides. The first line is looked up for a whole
+chunk of candidates at once, the other lines only for its survivors. The
+filter only ever rejects non-divisors, so the reported factor is always the
+first divisor in enumeration order.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Dict, List, Optional, Sequence, Union
+from math import gcd
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,8 +32,9 @@ from .field import PRIME_KIND, FieldElement, FieldSpec
 from .family import build_f
 from .poly import Monomial, Polynomial, grlex_key
 
-_CHUNK = 1 << 18
-_SLICES = 2  # number of lines the candidate filter restricts to
+_CHUNK = 1 << 18  # most tails one filter step holds
+_LINES = 8  # filter lines on which the input does not vanish
+_MAX_TABLE_BYTES = 1 << 23  # the accept tables of one candidate degree, together
 
 
 @dataclass(frozen=True)
@@ -98,41 +104,92 @@ def _line_matrix(
     return mat
 
 
-def _poly_divides(d: Sequence[int], p: Sequence[int], q: int) -> bool:
-    """Exact univariate divisibility over F_q; d monic, both nonzero."""
-    r = list(p)
-    dd = len(d) - 1
-    while len(r) - 1 >= dd:
-        c = r[-1]
-        if c:
-            off = len(r) - 1 - dd
-            for i, dc in enumerate(d):
-                r[off + i] = (r[off + i] - c * dc) % q
-        r.pop()
-    return not any(r)
+def _spread(count: int) -> Iterator[int]:
+    """range(count) reordered by a stride near count / golden ratio, coprime to count."""
+    stride = max(1, round(count * 0.618))
+    while gcd(stride, count) != 1:
+        stride += 1
+    return (i * stride % count for i in range(count))
 
 
-def _accept_table(p_restricted: List[int], d: int, q: int) -> np.ndarray:
-    """accept[code] for restricted candidates coded little-endian base q.
+def _spread_points(k: int, q: int) -> Iterator[Tuple[int, ...]]:
+    """Every point of F_q^k in a spread-out order, those with no zero coordinate first."""
+    for j in _spread((q - 1) ** k):
+        yield tuple(j // (q - 1) ** i % (q - 1) + 1 for i in range(k))
+    for j in _spread(q**k):
+        coords = tuple(j // q**i % q for i in range(k))
+        if 0 in coords:
+            yield coords
 
-    code digit k is the coefficient of y^k; a restricted candidate passes
+
+def _filter_lines(
+    p: Polynomial, q: int, deg: int
+) -> List[Tuple[int, Tuple[int, ...], np.ndarray]]:
+    """Up to _LINES axis-parallel lines on which p does not vanish.
+
+    Each line is (vy, coords, the deg+1 coefficients of p restricted
+    there). Consecutive lines take consecutive pinned points and turn to
+    the next direction; every (point, direction) pair comes up once. A
+    line through a coordinate axis rejects almost nothing on homogeneous
+    input, which is why points with a zero coordinate come last.
+    """
+    monos = list(p.terms)
+    coeffs = np.array([c.value for c in p.terms.values()], dtype=np.int64)
+    lines = []
+    for turn in range(p.arity):
+        for j, coords in enumerate(_spread_points(p.arity - 1, q)):
+            vy = (j + turn) % p.arity
+            restricted = _line_matrix(monos, coords, vy, q, deg) @ coeffs % q
+            if restricted.any():
+                lines.append((vy, coords, restricted))
+                if len(lines) == _LINES:
+                    return lines
+    return lines
+
+
+def _accept_tables(restricted: np.ndarray, d: int, q: int) -> np.ndarray:
+    """accept[line, code] for restricted candidates coded little-endian base q.
+
+    restricted holds the input's restriction to each line, one row each.
+    Code digit k is the coefficient of y^k; a restricted candidate passes
     when it is a nonzero constant or a scalar multiple of a monic divisor
     of the restricted input. The zero restriction is rejected (the input
-    does not vanish on the slice, so no true divisor restricts to zero).
+    does not vanish on the line, so no true divisor restricts to zero).
+    Monic divisors are found by one long division over all lines and all
+    monic tails of each degree at once, in batches of at most _CHUNK
+    coefficients; a zero top coefficient makes a division step a no-op.
     """
-    size = q ** (d + 1)
-    table = np.zeros(size, dtype=bool)
-    table[1:q] = True  # nonzero constants divide everything
-    powers = [q**k for k in range(d + 1)]
-    max_deg = min(d, len(p_restricted) - 1)
-    for e in range(1, max_deg + 1):
-        for tail in np.ndindex(*([q] * e)):
-            monic = list(tail) + [1]
-            if _poly_divides(monic, p_restricted, q):
-                for lam in range(1, q):
-                    code = sum(c * lam % q * powers[k] for k, c in enumerate(monic))
-                    table[code] = True
-    return table
+    n_lines, n = restricted.shape
+    tables = np.zeros((n_lines, q ** (d + 1)), dtype=bool)
+    tables[:, 1:q] = True  # nonzero constants divide everything
+    scalars = np.arange(1, q)[:, None, None]
+    step = max(1, _CHUNK // max(1, restricted.size))
+    for e in range(1, d + 1):
+        for lo in range(0, q**e, step):
+            idx = np.arange(lo, min(lo + step, q**e))
+            monic = np.ones((len(idx), e + 1), dtype=np.int64)
+            monic[:, :e] = idx[:, None] // q ** np.arange(e) % q
+            rem = np.repeat(restricted[:, None, :], len(idx), axis=1)
+            for top in range(n - 1, e - 1, -1):
+                span = slice(top - e, top + 1)
+                rem[:, :, span] = (rem[:, :, span] - rem[:, :, top, None] * monic) % q
+            line, row = np.nonzero(~rem.any(axis=2))
+            tables[line, scalars * monic[row] % q @ q ** np.arange(e + 1)] = True
+    return tables
+
+
+def _low_codes(cols: np.ndarray, q: int) -> np.ndarray:
+    """Code of the restriction of every low-digit pattern, in enumeration order.
+
+    cols is the (deg+1) x k block of a line matrix for the k lowest tail
+    digits; pattern j has digit (j // q^(k-1-i)) % q in column i. Codes
+    add digit by digit mod q, so a pattern's code and the code of the
+    higher digits combine without carries.
+    """
+    y = np.zeros((len(cols), 1), dtype=np.int64)
+    for col in cols.T:
+        y = (y[:, :, None] + col[:, None, None] * np.arange(q)).reshape(len(cols), -1)
+    return q ** np.arange(len(cols)) @ (y % q)
 
 
 def _candidate_polynomial(
@@ -182,49 +239,57 @@ def brute_force_factor_search(
         )
 
     deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
-    # filter lines pin every variable but the last to (s, 1, ..., 1); keep the
-    # first _SLICES on which p does not vanish, with p's restriction there
-    vy = p.arity - 1
-    coeffs = np.array([c.value for c in p.terms.values()], dtype=np.int64)
-    lines = []
-    for s in range(q):
-        coords = (s,) + (1,) * (p.arity - 2)
-        restricted = _line_matrix(list(p.terms), coords, vy, q, deg) @ coeffs % q
-        if restricted.any():
-            lines.append((coords, np.trim_zeros(restricted, "b").tolist()))
-            if len(lines) == _SLICES:
-                break
+    lines = _filter_lines(p, q, deg)
+    restricted = np.array([r for _, _, r in lines], dtype=np.int64).reshape(-1, deg + 1)
     tried = 0
     for d, monos, lead_count in plans:
-        mats = [(_line_matrix(monos, c, vy, q, d), _accept_table(r, d, q)) for c, r in lines]
-        codes_base = np.array([q**k for k in range(d + 1)], dtype=np.int64)
+        size = q ** (d + 1)  # bytes of one line's accept table
+        if size > _MAX_TABLE_BYTES:
+            return BudgetExceeded(
+                f"accept table of {size} bytes for degree {d} exceeds budget {_MAX_TABLE_BYTES}"
+            )
+        # as many lines as the budget holds; with none, one that passes everything
+        used = lines[: _MAX_TABLE_BYTES // size]
+        tables = _accept_tables(restricted[: len(used)], d, q)
+        mats = [(_line_matrix(monos, c, vy, q, d), t) for (vy, c, _), t in zip(used, tables)]
+        mats = mats or [
+            (np.zeros((d + 1, len(monos)), dtype=np.int64), np.ones(size, dtype=bool))
+        ]
+        first, first_table = mats[0][0], mats[0][1].reshape((q,) * (d + 1))
+        powers = q ** np.arange(d + 1)
+        axes = tuple(range(d + 1))
+        codes_low = None
         # blocks with the latest possible leading monomial come first
         for lead in range(lead_count - 1, -1, -1):
             t_len = len(monos) - 1 - lead
-            n_block = q**t_len
-            filters = [(m[:, lead + 1 :].T, m[:, lead], table) for m, table in mats]
-            for start in range(0, n_block, _CHUNK):
+            # chunks are aligned runs of q^low tails that share their high digits
+            low = 0
+            while low < t_len and q ** (low + 1) <= _CHUNK:
+                low += 1
+            high = t_len - low
+            places = q ** np.arange(t_len - 1, -1, -1)
+            later = [(m[:, lead + 1 :].T, m[:, lead], table) for m, table in mats[1:]]
+            high_cols = first[:, lead + 1 : lead + 1 + high]
+            # the low digits are those of the last monomials in every block,
+            # and low never falls from one block to the next
+            if low != codes_low:
+                codes, codes_low = _low_codes(first[:, len(monos) - low :], q), low
+            for start in range(0, q**t_len, q**low):
                 if deadline is not None and time.monotonic() > deadline:
                     return BudgetExceeded("time limit exceeded")
-                stop = min(start + _CHUNK, n_block)
-                ar = np.arange(start, stop, dtype=np.int64)
-                tails = np.empty((stop - start, t_len), dtype=np.int64)
-                for col in range(t_len):
-                    div = q ** (t_len - 1 - col)
-                    tails[:, col] = (ar // div) % q
-                mask = np.ones(stop - start, dtype=bool)
-                for tail_mat, base, table in filters:
-                    y = (tails[mask] @ tail_mat + base) % q
-                    hits = table[y @ codes_base]
-                    idx = np.flatnonzero(mask)
-                    mask[idx[~hits]] = False
-                    if not mask.any():
-                        break
-                tried += len(tails)
-                for row in np.flatnonzero(mask):
+                # the restriction of a tail is the high digits' shift plus
+                # its low pattern's code, so shift the table, not the codes
+                shift = (first[:, lead] + high_cols @ (start // places[:high] % q)) % q
+                shifted = np.roll(first_table, tuple(-shift[::-1]), axis=axes)
+                rows = np.flatnonzero(shifted.ravel()[codes])
+                tails = (start + rows)[:, None] // places % q
+                for tail_mat, base, table in later:
+                    tails = tails[table[(tails @ tail_mat + base) % q @ powers]]
+                tried += q**low
+                for tail in tails:
                     if deadline is not None and time.monotonic() > deadline:
                         return BudgetExceeded("time limit exceeded")
-                    cand = _candidate_polynomial(p.field, p.arity, monos, lead, tails[row])
+                    cand = _candidate_polynomial(p.field, p.arity, monos, lead, tail)
                     quotient = p.exact_divide(cand)
                     if quotient is not None:
                         return FactorFound(cand, quotient)

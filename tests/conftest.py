@@ -2,6 +2,7 @@
 
 from random import Random
 
+import numpy as np
 import pytest
 
 from simplexpoly.field import (
@@ -19,6 +20,27 @@ ALL_FIELDS = [RATIONAL, prime_field(3), prime_field(5), prime_field(7), CYCLOTOM
 @pytest.fixture(params=ALL_FIELDS, ids=repr)
 def any_field(request) -> FieldSpec:
     return request.param
+
+
+@pytest.fixture
+def small_arrays(monkeypatch):
+    """numpy refuses to allocate any array over 10 MB for the test's duration.
+
+    A missing size check then fails the test instead of exhausting memory.
+    """
+    limit = 10 * 2**20
+
+    def guard(alloc):
+        def guarded(shape, dtype=float, *args, **kwargs):
+            size = int(np.prod(shape, dtype=object)) * np.dtype(dtype).itemsize
+            if size > limit:
+                raise MemoryError(f"test refuses a {size}-byte array")
+            return alloc(shape, dtype, *args, **kwargs)
+
+        return guarded
+
+    for name in ("zeros", "ones", "empty"):
+        monkeypatch.setattr(np, name, guard(getattr(np, name)))
 
 
 def random_polynomial(

@@ -155,6 +155,18 @@ def test_criterion_3_differential_classification():
             omega_fired = reducible and verdict.rule.tag == "OmegaCase"
             assert omega_fired == (t == 3 and q % 3 == 1), (q, t)
             checked += 1
+    # m = 4, a = 0: the homogeneous search space, every t
+    for q in (3, 5, 7):
+        field = prime_field(q)
+        for t in range(q):
+            verdict = classify_g(GParams.of(field, 4, 0, t))
+            outcome = brute_force_factor_search(verdict.input)
+            assert isinstance(outcome, (FactorFound, NoFactorFound)), (q, 4, t)
+            reducible = isinstance(verdict, FactorizationCertificate)
+            assert isinstance(outcome, FactorFound) == reducible, (q, 4, t)
+            if reducible:
+                assert outcome.factor * outcome.quotient == verdict.input
+            checked += 1
     _passed(3, f"classifier and exhaustive search agree on all {checked} inputs")
 
 

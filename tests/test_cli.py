@@ -122,6 +122,14 @@ class TestOracleCommand:
         assert code == EXIT_BUDGET
         assert report["payload"]["outcome"] == "budget-exceeded"
 
+    def test_accept_table_budget_exit_code(self, capsys, small_arrays):
+        code, report = run_json(
+            capsys, "oracle", "--poly", "x^4+y^4", "--field", "1999", "--vars", "x,y",
+            "--homogeneous", "--max-field-size", "2000",
+        )
+        assert code == EXIT_BUDGET
+        assert report["payload"]["reason"].startswith("accept table of ")
+
     def test_no_factor(self, capsys):
         code, report = run_json(
             capsys, "oracle", "--poly", "x^2+y^2", "--field", "7", "--vars", "x,y",
