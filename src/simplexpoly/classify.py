@@ -33,7 +33,6 @@ class Claim(Enum):
     """Irreducibility status attached to a certificate factor."""
 
     IRREDUCIBLE = "irreducible"
-    UNVERIFIED = "unverified"
 
 
 @dataclass(frozen=True)

@@ -243,7 +243,7 @@ def cmd_geometry(args: argparse.Namespace) -> int:
 
 
 def cmd_diophantine(args: argparse.Namespace) -> int:
-    solutions = enumerate_solutions(args.bound, jobs=args.jobs)
+    solutions = enumerate_solutions(args.bound)
     if args.primitive_only:
         solutions = [s for s in solutions if s.primitive]
     payload: Dict[str, object] = {
@@ -318,7 +318,6 @@ def build_parser() -> _Parser:
     d.add_argument("--bound", type=int, required=True)
     d.add_argument("--primitive-only", action="store_true")
     d.add_argument("--report-realizability", action="store_true")
-    d.add_argument("--jobs", type=int, default=1)
     d.set_defaults(func=cmd_diophantine)
     return parser
 

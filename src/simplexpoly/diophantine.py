@@ -10,12 +10,16 @@ a solution.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
+
+import numpy as np
 
 from .geometry import quadruple_residual, realize_in_plane
+
+# Every int64 value of the filter stays below 27 * bound^4, under 2^63 with a margin.
+_MAX_BOUND = 20_000
+_STEP = 4096  # (x, y) pairs one numpy step holds
 
 
 @dataclass(frozen=True)
@@ -33,61 +37,50 @@ def is_solution(w: int, x: int, y: int, z: int) -> bool:
     return sq * sq == 3 * quart
 
 
-def _scan_prefixes(w_values: Tuple[int, ...], bound: int) -> List[Tuple[int, int, int, int]]:
-    """All solutions (w, x, y, z) with w in w_values and w <= x <= y <= z <= bound.
+def _square_discriminant_pairs(w: int, bound: int) -> Iterator[Tuple[int, int]]:
+    """Every (x, y) with w <= x <= y <= bound whose discriminant is a square.
 
-    The largest element is not searched: with the three smaller values
-    fixed, the relation is a quadratic in the square of the fourth, so z^2
-    comes from the closed form and only a perfect-square test remains.
+    Pair k of the triangle is x = bound - r, y = x + k - r(r+1)/2, with r
+    the largest integer such that r(r+1)/2 <= k; the float root gives r
+    exactly, since 8k + 1 stays far below 2^53. The root of a square
+    discriminant comes out exact too when sqrt rounds correctly; its two
+    neighbours are tried as well, so a root one off loses no solution.
     """
-    found: List[Tuple[int, int, int, int]] = []
-    for w in w_values:
-        w2, w4 = w * w, w**4
-        for x in range(w, bound + 1):
-            x2, x4 = x * x, x**4
-            for y in range(x, bound + 1):
-                c = w2 + x2 + y * y
-                d = w4 + x4 + y**4
-                disc = 3 * (c * c - 2 * d)
-                if disc < 0:
-                    continue
-                r = math.isqrt(disc)
-                if r * r != disc:
-                    continue
-                for num in {c + r, c - r}:
-                    if num < 0 or num % 2:
-                        continue
-                    s = num // 2
-                    z = math.isqrt(s)
-                    if z * z == s and y <= z <= bound:
-                        found.append((w, x, y, z))
-    return found
+    total = (bound - w + 1) * (bound - w + 2) // 2
+    for lo in range(0, total, _STEP):
+        k = np.arange(lo, min(lo + _STEP, total), dtype=np.int64)
+        r = ((np.sqrt(8 * k + 1) - 1) // 2).astype(np.int64)
+        x = bound - r
+        y = x + k - r * (r + 1) // 2
+        x2, y2 = x * x, y * y
+        c = w * w + x2 + y2
+        disc = 3 * (c * c - 2 * (w**4 + x2 * x2 + y2 * y2))
+        root = np.sqrt(np.maximum(disc, 0)).astype(np.int64)
+        square = (root * root == disc) | ((root - 1) ** 2 == disc) | ((root + 1) ** 2 == disc)
+        yield from zip(x[square].tolist(), y[square].tolist())
 
 
-def enumerate_solutions(bound: int, jobs: int = 1) -> List[SolutionTuple]:
+def enumerate_solutions(bound: int) -> List[SolutionTuple]:
     """All nonzero solutions with entries in [0, bound], sorted ascending.
 
-    The outer loop over the smallest entry is sharded over ``jobs`` worker
-    processes, at most one per CPU; results are merged and sorted, so the
-    output does not depend on jobs.
+    The largest entry is not searched: with the three smaller values fixed,
+    the relation is a quadratic in the square of the fourth, so z^2 comes
+    from a closed form whose discriminant must be a square. A numpy filter
+    proposes the (x, y) pairs of each smallest entry w with a square
+    discriminant, and the exact relation confirms each z it gives.
     """
-    if bound < 1:
-        raise ValueError(f"bound must be at least 1, got {bound}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    jobs = min(jobs, os.cpu_count() or 1)
-    w_values = tuple(range(bound + 1))
-    if jobs > 1:
-        shards = [w_values[k::jobs] for k in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = [t for part in pool.map(_scan_prefixes, shards, [bound] * jobs) for t in part]
-    else:
-        raw = _scan_prefixes(w_values, bound)
-    tuples = sorted(set(raw) - {(0, 0, 0, 0)})
-    return [
-        SolutionTuple(t, math.gcd(*t) == 1)
-        for t in tuples
-    ]
+    if not 1 <= bound <= _MAX_BOUND:
+        raise ValueError(f"bound must be in [1, {_MAX_BOUND}], got {bound}")
+    found: List[Tuple[int, int, int, int]] = []
+    for w in range(bound + 1):
+        for x, y in _square_discriminant_pairs(w, bound):
+            c = w * w + x * x + y * y
+            r = math.isqrt(max(3 * (c * c - 2 * (w**4 + x**4 + y**4)), 0))
+            # z^2 = (c +- r) / 2; z = 0 only in the zero tuple, which is not reported
+            for z in {math.isqrt((c + r) // 2), math.isqrt(max(c - r, 0) // 2)}:
+                if y <= z <= bound and z and is_solution(w, x, y, z):
+                    found.append((w, x, y, z))
+    return [SolutionTuple(t, math.gcd(*t) == 1) for t in sorted(found)]
 
 
 def realizability_report(sol: SolutionTuple, tol: float = 1e-6) -> Dict[str, object]:
@@ -111,11 +104,3 @@ def realizability_report(sol: SolutionTuple, tol: float = 1e-6) -> Dict[str, obj
         "side_positions_realizable": realizable,
         "relation_residuals": residuals,
     }
-
-
-def scaling_class_representative(sol: SolutionTuple) -> Tuple[int, int, int, int]:
-    """The primitive tuple generating this solution's scaling class."""
-    g = math.gcd(*sol.values)
-    if g == 0:
-        return sol.values
-    return tuple(v // g for v in sol.values)  # type: ignore[return-value]

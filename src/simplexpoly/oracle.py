@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import gcd
+from math import gcd, inf
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -147,7 +147,9 @@ def _filter_lines(
     return lines
 
 
-def _accept_tables(restricted: np.ndarray, d: int, q: int) -> np.ndarray:
+def _accept_tables(
+    restricted: np.ndarray, prev: np.ndarray, d: int, q: int, deadline: float
+) -> Optional[np.ndarray]:
     """accept[line, code] for restricted candidates coded little-endian base q.
 
     restricted holds the input's restriction to each line, one row each.
@@ -155,26 +157,29 @@ def _accept_tables(restricted: np.ndarray, d: int, q: int) -> np.ndarray:
     when it is a nonzero constant or a scalar multiple of a monic divisor
     of the restricted input. The zero restriction is rejected (the input
     does not vanish on the line, so no true divisor restricts to zero).
-    Monic divisors are found by one long division over all lines and all
-    monic tails of each degree at once, in batches of at most _CHUNK
-    coefficients; a zero top coefficient makes a division step a no-op.
+    The first q^d codes, of degree below d, copy prev, the lines' degree
+    d-1 tables. Monic divisors of degree d are found by one long division
+    over all lines and all monic tails at once, in batches of at most
+    _CHUNK coefficients; a zero top coefficient makes a step a no-op.
+    None means the deadline passed during the build.
     """
     n_lines, n = restricted.shape
     tables = np.zeros((n_lines, q ** (d + 1)), dtype=bool)
-    tables[:, 1:q] = True  # nonzero constants divide everything
+    tables[:, : q**d] = prev[:n_lines]
     scalars = np.arange(1, q)[:, None, None]
     step = max(1, _CHUNK // max(1, restricted.size))
-    for e in range(1, d + 1):
-        for lo in range(0, q**e, step):
-            idx = np.arange(lo, min(lo + step, q**e))
-            monic = np.ones((len(idx), e + 1), dtype=np.int64)
-            monic[:, :e] = idx[:, None] // q ** np.arange(e) % q
-            rem = np.repeat(restricted[:, None, :], len(idx), axis=1)
-            for top in range(n - 1, e - 1, -1):
-                span = slice(top - e, top + 1)
-                rem[:, :, span] = (rem[:, :, span] - rem[:, :, top, None] * monic) % q
-            line, row = np.nonzero(~rem.any(axis=2))
-            tables[line, scalars * monic[row] % q @ q ** np.arange(e + 1)] = True
+    for lo in range(0, q**d, step):
+        if time.monotonic() > deadline:
+            return None
+        idx = np.arange(lo, min(lo + step, q**d))
+        monic = np.ones((len(idx), d + 1), dtype=np.int64)
+        monic[:, :d] = idx[:, None] // q ** np.arange(d) % q
+        rem = np.repeat(restricted[:, None, :], len(idx), axis=1)
+        for top in range(n - 1, d - 1, -1):
+            span = slice(top - d, top + 1)
+            rem[:, :, span] = (rem[:, :, span] - rem[:, :, top, None] * monic) % q
+        line, row = np.nonzero(~rem.any(axis=2))
+        tables[line, scalars * monic[row] % q @ q ** np.arange(d + 1)] = True
     return tables
 
 
@@ -238,9 +243,10 @@ def brute_force_factor_search(
             f"candidate space of {total} exceeds budget {budget.max_candidates}"
         )
 
-    deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
+    deadline = time.monotonic() + (inf if budget.time_limit is None else budget.time_limit)
     lines = _filter_lines(p, q, deg)
     restricted = np.array([r for _, _, r in lines], dtype=np.int64).reshape(-1, deg + 1)
+    tables = np.tile(np.arange(q) > 0, (len(lines), 1))  # degree 0: nonzero constants
     tried = 0
     for d, monos, lead_count in plans:
         size = q ** (d + 1)  # bytes of one line's accept table
@@ -250,7 +256,9 @@ def brute_force_factor_search(
             )
         # as many lines as the budget holds; with none, one that passes everything
         used = lines[: _MAX_TABLE_BYTES // size]
-        tables = _accept_tables(restricted[: len(used)], d, q)
+        tables = _accept_tables(restricted[: len(used)], tables, d, q, deadline)
+        if tables is None:
+            return BudgetExceeded("time limit exceeded")
         mats = [(_line_matrix(monos, c, vy, q, d), t) for (vy, c, _), t in zip(used, tables)]
         mats = mats or [
             (np.zeros((d + 1, len(monos)), dtype=np.int64), np.ones(size, dtype=bool))
@@ -275,7 +283,7 @@ def brute_force_factor_search(
             if low != codes_low:
                 codes, codes_low = _low_codes(first[:, len(monos) - low :], q), low
             for start in range(0, q**t_len, q**low):
-                if deadline is not None and time.monotonic() > deadline:
+                if time.monotonic() > deadline:
                     return BudgetExceeded("time limit exceeded")
                 # the restriction of a tail is the high digits' shift plus
                 # its low pattern's code, so shift the table, not the codes
@@ -287,7 +295,7 @@ def brute_force_factor_search(
                     tails = tails[table[(tails @ tail_mat + base) % q @ powers]]
                 tried += q**low
                 for tail in tails:
-                    if deadline is not None and time.monotonic() > deadline:
+                    if time.monotonic() > deadline:
                         return BudgetExceeded("time limit exceeded")
                     cand = _candidate_polynomial(p.field, p.arity, monos, lead, tail)
                     quotient = p.exact_divide(cand)

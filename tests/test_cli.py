@@ -4,6 +4,7 @@ import json
 import pytest
 
 import simplexpoly
+from simplexpoly import diophantine
 from simplexpoly.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -160,9 +161,14 @@ class TestDiophantineCommand:
         assert code == EXIT_OK
         assert [3, 5, 7, 8] in report["payload"]["solutions"]
 
-    def test_jobs_below_one_is_usage_error(self, capsys):
-        assert main(["diophantine", "--bound", "5", "--jobs", "0"]) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("usage error")
+    def test_bound_out_of_range_is_usage_error(self, monkeypatch, capsys):
+        def no_scan(w, bound):
+            raise AssertionError("a refused bound must not start the scan")
+
+        monkeypatch.setattr(diophantine, "_square_discriminant_pairs", no_scan)
+        for bound in (0, diophantine._MAX_BOUND + 1):
+            assert main(["diophantine", "--bound", str(bound)]) == EXIT_USAGE
+            assert capsys.readouterr().err.startswith("usage error")
 
     def test_primitive_only(self, capsys):
         code, report = run_json(capsys, "diophantine", "--bound", "10", "--primitive-only")
@@ -180,6 +186,10 @@ class TestRemovedOptions:
     def test_oracle_jobs(self, capsys):
         argv = ["oracle", "--poly", "x^2+y^2", "--field", "5", "--vars", "x,y", "--jobs", "2"]
         assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error")
+
+    def test_diophantine_jobs(self, capsys):
+        assert main(["diophantine", "--bound", "5", "--jobs", "2"]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("usage error")
 
     def test_construct_phi(self, capsys):
@@ -215,7 +225,7 @@ README_EXAMPLES = [
     ("oracle --poly x^4+x^2*y^2+y^4 --field 7 --vars x,y --homogeneous", 0,
      "4ac1a15bded6ad236d6dfbb2a44a32035b43d5888d73d48390091a998f36f433"),
     ("diophantine --bound 20 --primitive-only", 0,
-     "2b509ca74227e4ac05b2dc8c696207abe11a0321067f9f70f9d50fbdb5b2d0e4"),
+     "d0e36691efdfd90691982b81e546a85870bce27da16959892bdba4f85bfdddf3"),
 ]
 
 

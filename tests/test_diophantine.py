@@ -9,8 +9,47 @@ from simplexpoly.diophantine import (
     enumerate_solutions,
     is_solution,
     realizability_report,
-    scaling_class_representative,
 )
+
+
+def _reference_scan(bound):
+    """enumerate_solutions as a scalar closed-form loop over every (w, x, y)."""
+    found = []
+    for w in range(bound + 1):
+        w2, w4 = w * w, w**4
+        for x in range(w, bound + 1):
+            x2, x4 = x * x, x**4
+            for y in range(x, bound + 1):
+                c = w2 + x2 + y * y
+                d = w4 + x4 + y**4
+                disc = 3 * (c * c - 2 * d)
+                if disc < 0:
+                    continue
+                r = math.isqrt(disc)
+                if r * r != disc:
+                    continue
+                for num in {c + r, c - r}:
+                    if num < 0 or num % 2:
+                        continue
+                    s = num // 2
+                    z = math.isqrt(s)
+                    if z * z == s and y <= z <= bound:
+                        found.append((w, x, y, z))
+    tuples = sorted(set(found) - {(0, 0, 0, 0)})
+    return [SolutionTuple(t, math.gcd(*t) == 1) for t in tuples]
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return {b: _reference_scan(b) for b in list(range(1, 61)) + [150]}
+
+
+def _is_square(n):
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
+def _no_scan(w, bound):
+    raise AssertionError("a refused bound must not start the scan")
 
 
 class TestIsSolution:
@@ -88,39 +127,34 @@ class TestEnumerate:
     def test_zero_tuple_excluded(self):
         assert all(s.values != (0, 0, 0, 0) for s in enumerate_solutions(5))
 
-    def test_bad_bound(self):
-        with pytest.raises(ValueError):
-            enumerate_solutions(0)
+    @pytest.mark.parametrize("step", [diophantine._STEP, 37])
+    def test_matches_scalar_reference(self, monkeypatch, reference, step):
+        # with 37-pair steps, rows of up to 151 pairs span several steps
+        monkeypatch.setattr(diophantine, "_STEP", step)
+        for bound, expected in reference.items():
+            assert enumerate_solutions(bound) == expected, bound
 
-    def test_jobs_match_serial(self):
-        serial = enumerate_solutions(16)
-        assert enumerate_solutions(16, jobs=3) == serial
+    def test_filter_is_exact_at_the_largest_bound(self):
+        # the largest discriminants, up to 9 * bound^4, still fit in int64
+        bound = diophantine._MAX_BOUND
+        w = bound - 100
+        exact = [
+            (x, y)
+            for x in range(w, bound + 1)
+            for y in range(x, bound + 1)
+            if _is_square(3 * ((w * w + x * x + y * y) ** 2 - 2 * (w**4 + x**4 + y**4)))
+        ]
+        assert sorted(diophantine._square_discriminant_pairs(w, bound)) == exact
 
-    def test_bad_jobs(self):
-        with pytest.raises(ValueError):
-            enumerate_solutions(5, jobs=0)
+    def test_bad_bound(self, monkeypatch):
+        monkeypatch.setattr(diophantine, "_square_discriminant_pairs", _no_scan)
+        for bound in (0, diophantine._MAX_BOUND + 1):
+            with pytest.raises(ValueError):
+                enumerate_solutions(bound)
 
-    def test_workers_capped_at_cpu_count(self, monkeypatch):
-        # a fake pool runs the shards in-process and records the worker count
-        workers = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(diophantine, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(diophantine.os, "cpu_count", lambda: 4)
-        assert enumerate_solutions(16, jobs=1000) == enumerate_solutions(16)
-        assert workers == [4]
+    def test_largest_bound_accepted(self, monkeypatch):
+        monkeypatch.setattr(diophantine, "_square_discriminant_pairs", lambda w, bound: iter(()))
+        assert enumerate_solutions(diophantine._MAX_BOUND) == []
 
 
 class TestRealizability:
@@ -136,7 +170,3 @@ class TestRealizability:
             report = realizability_report(s)
             assert set(report["side_positions_realizable"]) <= {0, 1, 2, 3}
 
-    def test_scaling_class(self):
-        assert scaling_class_representative(SolutionTuple((6, 10, 14, 16), False)) == (
-            3, 5, 7, 8,
-        )

@@ -115,6 +115,33 @@ class TestBruteForceSearch:
         assert outcome == BudgetExceeded("time limit exceeded")
         assert len(divisions) == 1
 
+    def test_time_limit_holds_during_table_builds(self, monkeypatch):
+        # the clock passes the deadline once the first accept-table build
+        # starts; the build must stop there, before any division runs
+        divisions, started, built = [], [], []
+        exact_divide, accept_tables = Polynomial.exact_divide, oracle._accept_tables
+
+        def counting_divide(self, d):
+            divisions.append(d)
+            return exact_divide(self, d)
+
+        def recording_tables(*args):
+            started.append(args)
+            built.append(accept_tables(*args))
+            return built[-1]
+
+        monkeypatch.setattr(Polynomial, "exact_divide", counting_divide)
+        monkeypatch.setattr(oracle, "_accept_tables", recording_tables)
+        monkeypatch.setattr(
+            oracle, "time", SimpleNamespace(monotonic=lambda: 100.0 if started else 0.0)
+        )
+        outcome = brute_force_factor_search(
+            build_g(GParams.of(F5, 3, 1, 1)), SearchBudget(time_limit=1.0)
+        )
+        assert outcome == BudgetExceeded("time limit exceeded")
+        assert len(built) == 1 and built[0] is None
+        assert divisions == []
+
     def test_rational_input_rejected(self):
         with pytest.raises(ValueError):
             brute_force_factor_search(build_f(Q, 3, 2))
