@@ -14,7 +14,7 @@ from .field import (
     prime_field,
     primitive_cube_root,
 )
-from .poly import Polynomial, elementary_symmetric, parse_polynomial, poly_to_text
+from .poly import Polynomial, parse_polynomial, poly_to_text
 from .family import (
     CayleyMengerRing,
     GParams,
@@ -65,7 +65,6 @@ __all__ = [
     "prime_field",
     "primitive_cube_root",
     "Polynomial",
-    "elementary_symmetric",
     "parse_polynomial",
     "poly_to_text",
     "CayleyMengerRing",

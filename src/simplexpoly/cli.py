@@ -266,10 +266,12 @@ def _emit(args: argparse.Namespace, payload: Dict[str, object], code: int = EXIT
 
 
 def build_parser() -> _Parser:
+    # the output flags go on the leaf parsers only: a subparser's defaults
+    # would overwrite the value of the same flag given before its name
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="human-readable output")
     common.add_argument("--timing", action="store_true", help="include wall-clock timing")
-    parser = _Parser(prog="simplexpoly", description=__doc__, parents=[common])
+    parser = _Parser(prog="simplexpoly", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     c = sub.add_parser("construct", help="emit a family member", parents=[common])
@@ -302,7 +304,7 @@ def build_parser() -> _Parser:
     o.add_argument("--time-limit", type=float)
     o.set_defaults(func=cmd_oracle)
 
-    g = sub.add_parser("geometry", help="verify the distance relation numerically", parents=[common])
+    g = sub.add_parser("geometry", help="verify the distance relation numerically")
     gsub = g.add_subparsers(dest="action", required=True)
     gv = gsub.add_parser("verify", parents=[common])
     gv.add_argument("--n", type=int, required=True)

@@ -17,8 +17,9 @@ import numpy as np
 
 from .geometry import quadruple_residual, realize_in_plane
 
-# Every int64 value of the filter stays below 27 * bound^4, under 2^63 with a margin.
-_MAX_BOUND = 20_000
+# The scan's work grows as bound^3, so larger bounds would run for hours; every
+# int64 value of the filter stays below 27 * bound^4, far under 2^63.
+_MAX_BOUND = 1_000
 _STEP = 4096  # (x, y) pairs one numpy step holds
 
 

@@ -5,15 +5,16 @@ The central object is the quartic
     g = (a^2 + x_1^2 + ... + x_m^2)^2 - t (a^4 + x_1^4 + ... + x_m^4)
 
 with scalar parameters a, t from the coefficient field, together with the
-symbolic Cayley-Menger determinant of an n-simplex and the substitution
-machinery that produces the special simplex families from it.
+symbolic Cayley-Menger determinant of an n-simplex and the pre-kite and
+special simplex families, which are determinants of the same bordered matrix
+with other squared-edge entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, Dict, List, Tuple
+from typing import Callable, ClassVar, Dict, List, Tuple
 
 from .field import RATIONAL, FieldElement, FieldSpec
 from .poly import Polynomial
@@ -101,54 +102,61 @@ class CayleyMengerRing:
         return tuple(f"x{i}{j}" for i, j in self.pairs())
 
 
-def cayley_menger(n: int, field: FieldSpec = RATIONAL) -> Polynomial:
-    """The symbolic Cayley-Menger determinant of an n-simplex.
+def _bordered_determinant(
+    field: FieldSpec, arity: int, n: int, edge: Callable[[int, int], Polynomial]
+) -> Polynomial:
+    """Determinant of the bordered (n+2)x(n+2) Cayley-Menger matrix.
 
-    The bordered (n+2)x(n+2) matrix has zero diagonal, ones in row and
-    column 0, and squared edge variables elsewhere; the determinant is
-    expanded by memoized cofactor (Laplace) expansion.
+    The matrix has zero diagonal, ones in row and column 0, and the squared
+    edge entry edge(i, j) at (i, j) and (j, i) for 1 <= i < j <= n+1, each a
+    polynomial in ``arity`` variables. It is expanded by memoized cofactor
+    (Laplace) expansion along the rows in order.
     """
-    ring = CayleyMengerRing(n)
+    CayleyMengerRing(n)  # refuses n outside 2..max_n
     size = n + 2
-    zero = Polynomial.zero(field, ring.arity)
-    one = Polynomial.constant(field, ring.arity, 1)
-    entries: List[List[Polynomial]] = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            if i == j:
-                row.append(zero)
-            elif i == 0 or j == 0:
-                row.append(one)
-            else:
-                row.append(Polynomial.variable(field, ring.arity, ring.position(i, j), 2))
-        entries.append(row)
+    zero = Polynomial.zero(field, arity)
+    one = Polynomial.constant(field, arity, 1)
+    entries = [[zero if i == j else one for j in range(size)] for i in range(size)]
+    for i in range(1, size):
+        for j in range(i + 1, size):
+            entries[i][j] = entries[j][i] = edge(i, j)
 
-    memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Polynomial] = {}
+    # the rows of a minor are the last len(cols) rows, so its columns identify it
+    memo: Dict[Tuple[int, ...], Polynomial] = {}
 
-    def minor(rows: Tuple[int, ...], cols: Tuple[int, ...]) -> Polynomial:
-        key = (rows, cols)
-        cached = memo.get(key)
+    def minor(cols: Tuple[int, ...]) -> Polynomial:
+        cached = memo.get(cols)
         if cached is not None:
             return cached
-        if len(rows) == 1:
-            result = entries[rows[0]][cols[0]]
+        r = size - len(cols)
+        if len(cols) == 1:
+            result = entries[r][cols[0]]
         else:
             result = zero
-            r = rows[0]
-            rest_rows = rows[1:]
             for pos, c in enumerate(cols):
                 e = entries[r][c]
                 if e.is_zero():
                     continue
-                sub = minor(rest_rows, cols[:pos] + cols[pos + 1 :])
-                term = e * sub
+                term = e * minor(cols[:pos] + cols[pos + 1 :])
                 result = result + (term if pos % 2 == 0 else -term)
-        memo[key] = result
+        memo[cols] = result
         return result
 
-    idx = tuple(range(size))
-    return minor(idx, idx)
+    return minor(tuple(range(size)))
+
+
+def cayley_menger(n: int, field: FieldSpec = RATIONAL) -> Polynomial:
+    """The symbolic Cayley-Menger determinant of an n-simplex.
+
+    Every squared edge entry is x_{i,j}^2, in the ring of ``CayleyMengerRing(n)``.
+    """
+    ring = CayleyMengerRing(n)
+    return _bordered_determinant(
+        field,
+        ring.arity,
+        n,
+        lambda i, j: Polynomial.variable(field, ring.arity, ring.position(i, j), 2),
+    )
 
 
 def prekite_names(n: int) -> Tuple[str, ...]:
@@ -156,26 +164,24 @@ def prekite_names(n: int) -> Tuple[str, ...]:
 
 
 def prekite_reduction(n: int, field: FieldSpec = RATIONAL) -> Tuple[Polynomial, Polynomial]:
-    """Collapse all base edges of the Cayley-Menger determinant to one length.
+    """The Cayley-Menger determinant with all base edges of one length.
 
-    Substitutes x_{i,j} -> x for 1 <= i < j <= n while keeping the apex
-    edges x_{n+1,j} distinct (position j in the target ring), producing the
-    determinant M* of the one-parameter "pre-kite" simplex. Returns
-    (M*, H) with H = n (x^4 + sum y_j^4) - (x^2 + sum y_j^2)^2, after
-    asserting the exact identity M* = (-x^2)^(n-2) H.
+    The base edges x_{i,j}, 1 <= i < j <= n, all become x, while the apex
+    edges x_{j,n+1} stay distinct as y_j (position j of the ring in x, y_1,
+    ..., y_n); this is the determinant M* of the one-parameter "pre-kite"
+    simplex. Returns (M*, H) with H = n (x^4 + sum y_j^4) - (x^2 + sum y_j^2)^2,
+    after asserting the exact identity M* = (-x^2)^(n-2) H.
     """
     if n < 3:
         raise ValueError(f"pre-kite reduction requires n >= 3, got {n}")
-    ring = CayleyMengerRing(n)
     target_arity = n + 1
     x = Polynomial.variable(field, target_arity, 0)
-    images: Dict[int, Polynomial] = {}
-    for i, j in ring.pairs():
-        if j <= n:
-            images[ring.position(i, j)] = x
-        else:
-            images[ring.position(i, j)] = Polynomial.variable(field, target_arity, i)
-    m_star = cayley_menger(n, field).substitute(images, arity=target_arity)
+    m_star = _bordered_determinant(
+        field,
+        target_arity,
+        n,
+        lambda i, j: Polynomial.variable(field, target_arity, 0 if j <= n else i, 2),
+    )
     h = -build_f(field, target_arity, n)
 
     if m_star != ((-(x**2)) ** (n - 2)) * h:
@@ -199,11 +205,9 @@ def special_family_substitution(
 ) -> Polynomial:
     """Cayley-Menger determinant with each x_{i,j}^2 replaced by a vertex form.
 
-    The result lives in the vertex-variable ring k[x_1, ..., x_{n+1}]. Only
-    the substitution machinery is provided; classifying the resulting
-    families is out of scope.
+    The result lives in the vertex-variable ring k[x_1, ..., x_{n+1}].
+    Classifying the resulting families is out of scope.
     """
-    ring = CayleyMengerRing(n)
     arity = n + 1
 
     def image(i: int, j: int) -> Polynomial:
@@ -219,5 +223,4 @@ def special_family_substitution(
             return xi**2 + xi * xj + xj**2
         raise ValueError(f"unknown substitution rule {rule!r}")
 
-    images = {ring.position(i, j): image(i, j) for i, j in ring.pairs()}
-    return cayley_menger(n, field).substitute_squares(images, arity)
+    return _bordered_determinant(field, arity, n, image)

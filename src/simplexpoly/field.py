@@ -17,7 +17,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from random import Random
 from typing import Optional, Union
 
 RATIONAL_KIND = "rational"
@@ -419,20 +418,3 @@ def parse_element(spec: FieldSpec, text: str) -> FieldElement:
         else:
             r += Fraction(term)
     return FieldElement(spec, (r, s))
-
-
-def random_element(spec: FieldSpec, rng: Random, max_abs: int = 9) -> FieldElement:
-    """A small random element, for randomized identity checks and tests."""
-    if spec.kind == PRIME_KIND:
-        return FieldElement(spec, rng.randrange(spec.p))
-    if spec.kind == RATIONAL_KIND:
-        return FieldElement(
-            spec, Fraction(rng.randint(-max_abs, max_abs), rng.randint(1, max_abs))
-        )
-    return FieldElement(
-        spec,
-        (
-            Fraction(rng.randint(-max_abs, max_abs), rng.randint(1, max_abs)),
-            Fraction(rng.randint(-max_abs, max_abs), rng.randint(1, max_abs)),
-        ),
-    )

@@ -247,7 +247,6 @@ def brute_force_factor_search(
     lines = _filter_lines(p, q, deg)
     restricted = np.array([r for _, _, r in lines], dtype=np.int64).reshape(-1, deg + 1)
     tables = np.tile(np.arange(q) > 0, (len(lines), 1))  # degree 0: nonzero constants
-    tried = 0
     for d, monos, lead_count in plans:
         size = q ** (d + 1)  # bytes of one line's accept table
         if size > _MAX_TABLE_BYTES:
@@ -293,7 +292,6 @@ def brute_force_factor_search(
                 tails = (start + rows)[:, None] // places % q
                 for tail_mat, base, table in later:
                     tails = tails[table[(tails @ tail_mat + base) % q @ powers]]
-                tried += q**low
                 for tail in tails:
                     if time.monotonic() > deadline:
                         return BudgetExceeded("time limit exceeded")
@@ -306,7 +304,8 @@ def brute_force_factor_search(
         return BudgetExceeded(
             f"degree cap {degree_cap} below half the input degree {half}"
         )
-    return NoFactorFound(tried)
+    # every block ran to its end, so all total candidates were ruled out
+    return NoFactorFound(total)
 
 
 # -- symbolic discriminant identity ------------------------------------------------

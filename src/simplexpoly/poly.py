@@ -13,7 +13,6 @@ threads. Do not mutate a ``terms`` mapping after construction.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field as dataclass_field
 from operator import add
@@ -271,23 +270,6 @@ class Polynomial:
             _accumulate(acc, term.terms.items())
         return Polynomial(self.field, target_arity, acc)
 
-    def substitute_squares(
-        self,
-        images: Mapping[int, "Polynomial"],
-        arity: int,
-    ) -> "Polynomial":
-        """Replace each squared variable x_i^2 by images[i].
-
-        Requires every exponent in this polynomial to be even; exponent 2k
-        of variable i becomes images[i]^k. Otherwise as :meth:`substitute`.
-        """
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e % 2:
-                    raise ValueError(f"variable {i} appears with odd exponent {e}")
-        halved = {tuple(e // 2 for e in exps): c for exps, c in self.terms.items()}
-        return Polynomial(self.field, self.arity, halved).substitute(images, arity)
-
     def permute_variables(self, perm: Sequence[int]) -> "Polynomial":
         """Apply the ring automorphism x_i -> x_perm[i]."""
         if sorted(perm) != list(range(self.arity)):
@@ -370,18 +352,6 @@ class Polynomial:
 
     def __str__(self) -> str:
         return poly_to_text(self)
-
-
-def elementary_symmetric(field: FieldSpec, arity: int, j: int) -> Polynomial:
-    """The j-th elementary symmetric polynomial in ``arity`` variables."""
-    if not 1 <= j <= arity:
-        raise ValueError(f"symmetric index {j} out of range 1..{arity}")
-    one = field.one()
-    terms: Dict[Monomial, FieldElement] = {}
-    for combo in itertools.combinations(range(arity), j):
-        exps = tuple(1 if i in combo else 0 for i in range(arity))
-        terms[exps] = one
-    return Polynomial(field, arity, terms)
 
 
 # -- text format ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Shared helpers: deterministic random generators for field and ring values."""
 
+from fractions import Fraction
 from random import Random
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 
 from simplexpoly.field import (
     CYCLOTOMIC,
+    PRIME_KIND,
     RATIONAL,
+    RATIONAL_KIND,
+    FieldElement,
     FieldSpec,
     prime_field,
-    random_element,
 )
 from simplexpoly.poly import Polynomial
 
@@ -41,6 +44,23 @@ def small_arrays(monkeypatch):
 
     for name in ("zeros", "ones", "empty"):
         monkeypatch.setattr(np, name, guard(getattr(np, name)))
+
+
+def random_element(spec: FieldSpec, rng: Random, max_abs: int = 9) -> FieldElement:
+    """A small random element, for randomized identity checks and tests."""
+    if spec.kind == PRIME_KIND:
+        return FieldElement(spec, rng.randrange(spec.p))
+    if spec.kind == RATIONAL_KIND:
+        return FieldElement(
+            spec, Fraction(rng.randint(-max_abs, max_abs), rng.randint(1, max_abs))
+        )
+    return FieldElement(
+        spec,
+        (
+            Fraction(rng.randint(-max_abs, max_abs), rng.randint(1, max_abs)),
+            Fraction(rng.randint(-max_abs, max_abs), rng.randint(1, max_abs)),
+        ),
+    )
 
 
 def random_polynomial(

@@ -257,3 +257,26 @@ class TestReportShape:
                         "--t", "2", "--pretty")
         assert code == EXIT_OK
         assert out.startswith("# classify")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--timing", "classify", "--field", "Q", "--m", "3", "--a", "0", "--t", "2"],
+            ["--pretty", "diophantine", "--bound", "5"],
+            ["geometry", "--pretty", "solve", "--known", "3,4,5"],
+            ["geometry", "--timing", "verify", "--n", "2", "--a", "1"],
+        ],
+        ids=["top-level", "top-level-pretty", "geometry", "geometry-timing"],
+    )
+    def test_output_flag_before_the_leaf_is_usage_error(self, capsys, argv):
+        # the flag would be overwritten by the leaf's default, so it is refused
+        assert main(argv) == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_output_flags_after_the_geometry_action(self, capsys):
+        code, out = run(capsys, "geometry", "solve", "--pretty", "--known", "3,4,5")
+        assert code == EXIT_OK
+        assert out.startswith("# geometry")
+        code, report = run_json(capsys, "geometry", "solve", "--known", "3,4,5", "--timing")
+        assert code == EXIT_OK
+        assert isinstance(report["timing_s"], float)

@@ -4,11 +4,13 @@ from random import Random
 
 import pytest
 
-from simplexpoly.field import RATIONAL, prime_field, random_element
+from simplexpoly import family
+from simplexpoly.field import CYCLOTOMIC, RATIONAL, prime_field
 from simplexpoly.poly import Polynomial
 from simplexpoly.family import (
     CayleyMengerRing,
     GParams,
+    InternalCheckError,
     SubstitutionRule,
     build_f,
     build_g,
@@ -16,6 +18,8 @@ from simplexpoly.family import (
     prekite_reduction,
     special_family_substitution,
 )
+
+from conftest import random_element
 
 Q = RATIONAL
 
@@ -155,6 +159,11 @@ class TestPrekite:
         m_star, h = prekite_reduction(3, prime_field(7))
         assert m_star.field == prime_field(7)
 
+    def test_failed_identity_is_internal_error(self, monkeypatch):
+        monkeypatch.setattr(family, "build_f", lambda field, m, t: build_f(field, m, t + 1))
+        with pytest.raises(InternalCheckError):
+            prekite_reduction(3)
+
 
 class TestSpecialSubstitution:
     def test_product_rule_degree(self):
@@ -172,9 +181,55 @@ class TestSpecialSubstitution:
     def test_zero_vertices_match_zero_edges(self, rule):
         p = special_family_substitution(2, rule)
         zeros = {i: Polynomial.zero(Q, 3) for i in range(3)}
-        m0 = cayley_menger(2).substitute_squares(zeros, 3)
+        m0 = cayley_menger(2).substitute(zeros)
         assert p.substitute(zeros) == m0
 
     def test_sum_rule_halves_degree(self):
         p = special_family_substitution(2, SubstitutionRule.SUM)
         assert p.degree() == 2
+
+    def test_dimension_out_of_range(self):
+        for n in (1, 7):
+            with pytest.raises(ValueError):
+                special_family_substitution(n, SubstitutionRule.SUM)
+        with pytest.raises(ValueError):
+            prekite_reduction(7)
+
+
+RULE_IMAGES = {
+    SubstitutionRule.SUM: lambda xi, xj: xi + xj,
+    SubstitutionRule.PRODUCT: lambda xi, xj: xi * xj,
+    SubstitutionRule.SUM_SQUARED: lambda xi, xj: (xi + xj) ** 2,
+    SubstitutionRule.MIXED_QUADRATIC: lambda xi, xj: xi**2 + xi * xj + xj**2,
+}
+
+
+@pytest.mark.parametrize("field", [Q, CYCLOTOMIC, prime_field(13)], ids=repr)
+class TestSubstitutedDeterminant:
+    """Each family equals the expanded Cayley-Menger determinant, then substituted."""
+
+    def test_special_families(self, field):
+        for n in (2, 3, 4):
+            ring = CayleyMengerRing(n)
+            m = cayley_menger(n, field)
+            assert all(e % 2 == 0 for exps in m.terms for e in exps)
+            halved = Polynomial(
+                field, ring.arity, {tuple(e // 2 for e in exps): c for exps, c in m.terms.items()}
+            )
+            xs = variables(field, n + 1)
+            for rule, image in RULE_IMAGES.items():
+                images = {
+                    ring.position(i, j): image(xs[i - 1], xs[j - 1]) for i, j in ring.pairs()
+                }
+                expected = halved.substitute(images, n + 1)
+                assert special_family_substitution(n, rule, field) == expected, (n, rule)
+
+    def test_prekite(self, field):
+        for n in (3, 4):
+            ring = CayleyMengerRing(n)
+            x, *ys = variables(field, n + 1)
+            images = {
+                ring.position(i, j): x if j <= n else ys[i - 1] for i, j in ring.pairs()
+            }
+            m_star, _ = prekite_reduction(n, field)
+            assert m_star == cayley_menger(n, field).substitute(images, n + 1), n

@@ -13,8 +13,9 @@ from simplexpoly.field import (
     parse_element,
     prime_field,
     primitive_cube_root,
-    random_element,
 )
+
+from conftest import random_element
 
 
 class TestFieldSpec:

@@ -3,15 +3,14 @@ from random import Random
 
 import pytest
 
-from simplexpoly.field import CYCLOTOMIC, RATIONAL, prime_field, random_element
+from simplexpoly.field import CYCLOTOMIC, RATIONAL, prime_field
 from simplexpoly.poly import (
     Polynomial,
-    elementary_symmetric,
     parse_polynomial,
     poly_to_text,
 )
 
-from conftest import random_polynomial
+from conftest import random_element, random_polynomial
 
 Q = RATIONAL
 F5 = prime_field(5)
@@ -164,8 +163,8 @@ class TestSubstitute:
         lifted = g.substitute({}, arity=4)
         assert h == lifted
 
-    def test_substitute_squares_matches_substitute(self, any_field):
-        # x_i^2 -> y_i^2 on an even polynomial is the same map as x_i -> y_i
+    def test_halved_exponents_take_squared_images(self, any_field):
+        # on an even polynomial, x_i -> y_i is x_i -> y_i^2 on the halved exponents
         rng = Random(31)
         for _ in range(20):
             half = random_polynomial(any_field, 3, rng, max_exp=2)
@@ -177,13 +176,7 @@ class TestSubstitute:
                 for i in range(3)
             }
             squares = {i: y**2 for i, y in images.items()}
-            assert p.substitute_squares(squares, 2) == p.substitute(images, 2)
-
-    def test_substitute_squares_requires_even(self):
-        x, y = variables(Q, 2)
-        with pytest.raises(ValueError):
-            (x * y**2).substitute_squares({0: x, 1: y}, 2)
-        assert (x**2).substitute_squares({0: y, 1: x}, 2) == y
+            assert half.substitute(squares, 2) == p.substitute(images, 2)
 
     def test_wrong_ring_image_rejected(self):
         x, _ = variables(Q, 2)
@@ -304,22 +297,6 @@ class TestSymmetricReduce:
             z = Polynomial.variable(any_field, 3, 2)
             assert reduced.substitute({1: y + z, 2: y * z}) == sym
             done += 1
-
-
-class TestElementarySymmetric:
-    def test_examples(self):
-        x, y, z = variables(Q, 3)
-        assert elementary_symmetric(Q, 3, 2) == x * y + y * z + z * x
-        x2, y2 = variables(Q, 2)
-        assert elementary_symmetric(Q, 2, 1) == x2 + y2
-        w4 = variables(Q, 4)
-        assert elementary_symmetric(Q, 4, 4) == w4[0] * w4[1] * w4[2] * w4[3]
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            elementary_symmetric(Q, 3, 0)
-        with pytest.raises(ValueError):
-            elementary_symmetric(Q, 3, 4)
 
 
 class TestTextFormat:
