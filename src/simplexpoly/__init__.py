@@ -27,7 +27,6 @@ from .family import (
 )
 from .classify import (
     Char2GParams,
-    Claim,
     ClassificationRule,
     FactorizationCertificate,
     Irreducible,
@@ -76,7 +75,6 @@ __all__ = [
     "prekite_reduction",
     "special_family_substitution",
     "Char2GParams",
-    "Claim",
     "ClassificationRule",
     "FactorizationCertificate",
     "Irreducible",

@@ -12,7 +12,6 @@ coefficients modulo 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -29,12 +28,6 @@ from .family import CayleyMengerRing, GParams, InternalCheckError, build_g, cayl
 from .poly import Polynomial, poly_to_text
 
 
-class Claim(Enum):
-    """Irreducibility status attached to a certificate factor."""
-
-    IRREDUCIBLE = "irreducible"
-
-
 @dataclass(frozen=True)
 class ClassificationRule:
     """Which case fired, with the hypotheses that were actually verified."""
@@ -45,9 +38,10 @@ class ClassificationRule:
 
 @dataclass(frozen=True)
 class Factor:
+    """A monic factor, claimed irreducible over the certificate's field."""
+
     polynomial: Polynomial
     multiplicity: int
-    claim: Claim
 
 
 @dataclass(frozen=True)
@@ -74,6 +68,11 @@ class ZeroPolynomial:
 
 
 Verdict = Union[FactorizationCertificate, Irreducible, ZeroPolynomial]
+_VERDICT_NAMES = {
+    FactorizationCertificate: "reducible",
+    Irreducible: "irreducible",
+    ZeroPolynomial: "zero-polynomial",
+}
 
 
 @dataclass(frozen=True)
@@ -119,17 +118,17 @@ def verify_certificate(cert: FactorizationCertificate) -> bool:
 def _certify(
     input_poly: Polynomial,
     unit: FieldElement,
-    factors: Sequence[Tuple[Polynomial, int, Claim]],
+    factors: Sequence[Tuple[Polynomial, int]],
     rule: ClassificationRule,
 ) -> FactorizationCertificate:
     """Normalize factors monic (unit absorbs the scaling) and product-check."""
     normalized: List[Factor] = []
-    for poly, mult, claim in factors:
+    for poly, mult in factors:
         lc = poly.leading_coefficient()
         if not lc.is_one():
             poly = poly.scale(lc.inverse())
             unit = unit * lc**mult
-        normalized.append(Factor(poly, mult, claim))
+        normalized.append(Factor(poly, mult))
     cert = FactorizationCertificate(input_poly, unit, tuple(normalized), rule)
     if not verify_certificate(cert):
         raise InternalCheckError(f"certificate product check failed for rule {rule.tag}")
@@ -168,12 +167,9 @@ def factor_quadratic(a: FieldElement, b: FieldElement, c: FieldElement) -> Verdi
     beta = (-b - delta) / (a * 2)
     root_factor = lambda r: x - Polynomial.constant(spec, 1, r)
     if alpha == beta:
-        factors = [(root_factor(alpha), 2, Claim.IRREDUCIBLE)]
+        factors = [(root_factor(alpha), 2)]
     else:
-        factors = [
-            (root_factor(alpha), 1, Claim.IRREDUCIBLE),
-            (root_factor(beta), 1, Claim.IRREDUCIBLE),
-        ]
+        factors = [(root_factor(alpha), 1), (root_factor(beta), 1)]
     return _certify(quad, a, factors, rule)
 
 
@@ -201,7 +197,7 @@ def classify_diagonal_quadratic(
         rule = ClassificationRule(
             "DiagonalQuadratic", {"char": "2", "case": "1", "m": str(m)}
         )
-        return _certify(lift, RATIONAL.one(), [(linear, 2, Claim.IRREDUCIBLE)], rule)
+        return _certify(lift, RATIONAL.one(), [(linear, 2)], rule)
 
     cs = [field.coerce(c) for c in coeffs]
     if any(c.is_zero() for c in cs[1:]):
@@ -213,32 +209,18 @@ def classify_diagonal_quadratic(
     all_square = all(r is not None for r in roots)
     base = {"char": _char_str(field), "m": str(m)}
 
-    if all_square and m == 1:
-        s = roots[0]
-        x1 = Polynomial.variable(field, 1, 0)
-        s_const = Polynomial.constant(field, 1, s)
-        rule = ClassificationRule(
-            "DiagonalQuadratic", {**base, "case": "2", "neg_t0_square": "true"}
-        )
-        if s.is_zero():
-            factors = [(x1, 2, Claim.IRREDUCIBLE)]
+    if all_square and (m == 1 or (m == 2 and cs[0].is_zero())):
+        # c_m (u - s v)(u + s v) with u = x_m, and v = 1 for m = 1 or x_1 for m = 2
+        s = roots[m - 1]
+        u = Polynomial.variable(field, m, m - 1)
+        v = Polynomial.variable(field, 2, 0) if m == 2 else Polynomial.constant(field, 1, 1)
+        factors = [(u, 2)] if s.is_zero() else [(u - v.scale(s), 1), (u + v.scale(s), 1)]
+        if m == 1:
+            conditions = {"case": "2", "neg_t0_square": "true"}
         else:
-            factors = [(x1 - s_const, 1, Claim.IRREDUCIBLE), (x1 + s_const, 1, Claim.IRREDUCIBLE)]
-        return _certify(poly, cs[1], factors, rule)
-
-    if all_square and m == 2 and cs[0].is_zero():
-        s = roots[1]
-        x1 = Polynomial.variable(field, 2, 0)
-        x2 = Polynomial.variable(field, 2, 1)
-        rule = ClassificationRule(
-            "DiagonalQuadratic",
-            {**base, "case": "3", "t0": "0", "neg_t1_square": "true"},
-        )
-        factors = [
-            (x2 - x1.scale(s), 1, Claim.IRREDUCIBLE),
-            (x2 + x1.scale(s), 1, Claim.IRREDUCIBLE),
-        ]
-        return _certify(poly, cs[2], factors, rule)
+            conditions = {"case": "3", "t0": "0", "neg_t1_square": "true"}
+        rule = ClassificationRule("DiagonalQuadratic", {**base, **conditions})
+        return _certify(poly, cs[m], factors, rule)
 
     if not all_square:
         reason = "some -c_j/c_m is a non-square"
@@ -255,16 +237,9 @@ def classify_diagonal_quadratic(
 # -- the quartic family ------------------------------------------------------------
 
 
-def _heron_factors(
-    x: Polynomial, y: Polynomial, z: Polynomial
-) -> List[Tuple[Polynomial, int, Claim]]:
+def _heron_factors(x: Polynomial, y: Polynomial, z: Polynomial) -> List[Tuple[Polynomial, int]]:
     """The four linear factors of the Heron polynomial in x, y, z."""
-    return [
-        (x + y + z, 1, Claim.IRREDUCIBLE),
-        (-x + y + z, 1, Claim.IRREDUCIBLE),
-        (x - y + z, 1, Claim.IRREDUCIBLE),
-        (x + y - z, 1, Claim.IRREDUCIBLE),
-    ]
+    return [(x + y + z, 1), (-x + y + z, 1), (x - y + z, 1), (x + y - z, 1)]
 
 
 def _classify_g_char2(params: Char2GParams) -> Verdict:
@@ -279,7 +254,7 @@ def _classify_g_char2(params: Char2GParams) -> Verdict:
     rule = ClassificationRule(
         "Char2Collapse", {"char": "2", "t": str(t), "a": str(a), "m": str(m)}
     )
-    return _certify(lift, RATIONAL.one(), [(linear, 4, Claim.IRREDUCIBLE)], rule)
+    return _certify(lift, RATIONAL.one(), [(linear, 4)], rule)
 
 
 def classify_g(params: Union[GParams, Char2GParams]) -> Verdict:
@@ -308,7 +283,7 @@ def classify_g(params: Union[GParams, Char2GParams]) -> Verdict:
     if params.t.is_zero():
         quadric = Polynomial.diagonal(field, params.a**2, [1] * m, 2)
         rule = ClassificationRule("TZeroSquare", {**base, "t": "0"})
-        return _certify(g, field.one(), [(quadric, 2, Claim.IRREDUCIBLE)], rule)
+        return _certify(g, field.one(), [(quadric, 2)], rule)
 
     t_text = element_to_text(params.t)
     if not params.a.is_zero():
@@ -337,8 +312,8 @@ def classify_g(params: Union[GParams, Char2GParams]) -> Verdict:
             {**base, "a": "0", "t": "3", "omega": element_to_text(omega)},
         )
         factors = [
-            (Polynomial.diagonal(field, 0, [1, omega, omega2], 2), 1, Claim.IRREDUCIBLE),
-            (Polynomial.diagonal(field, 0, [1, omega2, omega], 2), 1, Claim.IRREDUCIBLE),
+            (Polynomial.diagonal(field, 0, [1, omega, omega2], 2), 1),
+            (Polynomial.diagonal(field, 0, [1, omega2, omega], 2), 1),
         ]
         return _certify(g, field.from_int(-2), factors, rule)
 
@@ -378,34 +353,22 @@ def verdict_to_json(
     verdict: Verdict, names: Optional[Sequence[str]] = None
 ) -> Dict[str, object]:
     """Machine-readable rendering shared by the CLI and the test suite."""
-    if isinstance(verdict, ZeroPolynomial):
-        return {
-            "verdict": "zero-polynomial",
-            "rule": verdict.rule.tag,
-            "conditions": dict(verdict.rule.conditions),
-        }
-    if isinstance(verdict, Irreducible):
-        out: Dict[str, object] = {
-            "verdict": "irreducible",
-            "rule": verdict.rule.tag,
-            "conditions": dict(verdict.rule.conditions),
-        }
-        if verdict.input is not None:
-            out["input"] = poly_to_text(verdict.input, names)
-        return out
-    return {
-        "verdict": "reducible",
+    out: Dict[str, object] = {
+        "verdict": _VERDICT_NAMES[type(verdict)],
         "rule": verdict.rule.tag,
         "conditions": dict(verdict.rule.conditions),
-        "input": poly_to_text(verdict.input, names),
-        "unit": element_to_text(verdict.unit),
-        "factors": [
+    }
+    if not isinstance(verdict, ZeroPolynomial) and verdict.input is not None:
+        out["input"] = poly_to_text(verdict.input, names)
+    if isinstance(verdict, FactorizationCertificate):
+        out["unit"] = element_to_text(verdict.unit)
+        out["factors"] = [
             {
                 "polynomial": poly_to_text(f.polynomial, names),
                 "multiplicity": f.multiplicity,
-                "claim": f.claim.value,
+                "claim": "irreducible",
             }
             for f in verdict.factors
-        ],
-        "product_check": verify_certificate(verdict),
-    }
+        ]
+        out["product_check"] = verify_certificate(verdict)
+    return out

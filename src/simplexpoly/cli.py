@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from random import Random
@@ -215,6 +216,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_geometry(args: argparse.Namespace) -> int:
     if args.action == "verify":
+        if args.samples < 1:
+            raise UsageError(f"--samples must be at least 1, got {args.samples}")
         simplex = regular_simplex(args.n, args.a)
         rng = Random(args.seed)
         worst = 0.0
@@ -258,7 +261,15 @@ def cmd_diophantine(args: argparse.Namespace) -> int:
 
 
 def _emit(args: argparse.Namespace, payload: Dict[str, object], code: int = EXIT_OK) -> int:
-    _print_report(_report(args, payload, args._started), args.pretty)
+    try:
+        _print_report(_report(args, payload, args._started), args.pretty)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; send what is still buffered to devnull so
+        # the interpreter's flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

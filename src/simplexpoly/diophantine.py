@@ -84,7 +84,7 @@ def enumerate_solutions(bound: int) -> List[SolutionTuple]:
     return [SolutionTuple(t, math.gcd(*t) == 1) for t in sorted(found)]
 
 
-def realizability_report(sol: SolutionTuple, tol: float = 1e-6) -> Dict[str, object]:
+def realizability_report(sol: SolutionTuple) -> Dict[str, object]:
     """Which entries of the quadruple can act as the triangle side.
 
     For each choice of side, tries to place a planar point at the remaining
@@ -97,7 +97,7 @@ def realizability_report(sol: SolutionTuple, tol: float = 1e-6) -> Dict[str, obj
     for i, side in enumerate(sol.values):
         rest = [v for k, v in enumerate(sol.values) if k != i]
         residuals.append(quadruple_residual(float(side), [float(v) for v in rest]))
-        if side > 0 and realize_in_plane(float(side), *[float(v) for v in rest], tol=tol) is not None:
+        if side > 0 and realize_in_plane(float(side), *[float(v) for v in rest]) is not None:
             realizable.append(i)
     return {
         "values": list(sol.values),

@@ -190,8 +190,6 @@ class FieldElement:
         (r1, s1), (r2, s2) = self.value, other.value
         return FieldElement(self.spec, (r1 + r2, s1 + s2))
 
-    __radd__ = __add__
-
     def __neg__(self) -> "FieldElement":
         k = self.spec.kind
         if k == PRIME_KIND:
@@ -204,9 +202,6 @@ class FieldElement:
     def __sub__(self, other: Union["FieldElement", int, Fraction]) -> "FieldElement":
         return self + (-self._other(other))
 
-    def __rsub__(self, other: Union[int, Fraction]) -> "FieldElement":
-        return self._other(other) - self
-
     def __mul__(self, other: Union["FieldElement", int, Fraction]) -> "FieldElement":
         other = self._other(other)
         k = self.spec.kind
@@ -218,8 +213,6 @@ class FieldElement:
         (r1, s1), (r2, s2) = self.value, other.value
         cross = s1 * s2
         return FieldElement(self.spec, (r1 * r2 - cross, r1 * s2 + s1 * r2 - cross))
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
@@ -236,9 +229,6 @@ class FieldElement:
 
     def __truediv__(self, other: Union["FieldElement", int, Fraction]) -> "FieldElement":
         return self * self._other(other).inverse()
-
-    def __rtruediv__(self, other: Union[int, Fraction]) -> "FieldElement":
-        return self._other(other) / self
 
     def __pow__(self, n: int) -> "FieldElement":
         if n < 0:
@@ -285,9 +275,6 @@ def _sqrt_mod_p(a: int, p: int) -> Optional[int]:
         return 0
     if _legendre(a, p) != 1:
         return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2

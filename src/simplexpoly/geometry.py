@@ -21,6 +21,7 @@ import numpy as np
 
 _REL_TOL = 1e-12
 _WEIGHT_SUM_TOL = 1e-9
+_REALIZE_TOL = 1e-6  # relative slack of the planar placement in realize_in_plane
 
 
 @dataclass(frozen=True)
@@ -141,9 +142,7 @@ def quadruple_residual(side: float, distances: Sequence[float]) -> float:
     return (sq * sq - n_plus_1 * quart) / scale
 
 
-def realize_in_plane(
-    side: float, d1: float, d2: float, d3: float, tol: float = 1e-6
-) -> Optional[np.ndarray]:
+def realize_in_plane(side: float, d1: float, d2: float, d3: float) -> Optional[np.ndarray]:
     """A planar point at distances (d1, d2, d3) from the vertices of an
     equilateral triangle of the given side, or None if there is none.
 
@@ -157,12 +156,12 @@ def realize_in_plane(
     cx, cy = side / 2.0, side * math.sqrt(3.0) / 2.0
     x = (d1 * d1 - d2 * d2 + side * side) / (2.0 * side)
     y_sq = d1 * d1 - x * x
-    if y_sq < -tol * max(d1 * d1, 1.0):
+    if y_sq < -_REALIZE_TOL * max(d1 * d1, 1.0):
         return None
     y = math.sqrt(max(y_sq, 0.0))
     scale = max(side, d1, d2, d3, 1.0)
     for point in (np.array([x, y]), np.array([x, -y])):
         d = math.hypot(point[0] - cx, point[1] - cy)
-        if abs(d - d3) <= tol * scale:
+        if abs(d - d3) <= _REALIZE_TOL * scale:
             return point
     return None

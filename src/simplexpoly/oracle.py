@@ -53,6 +53,13 @@ class SearchBudget:
     time_limit: Optional[float] = None
     max_candidates: int = 80_000_000
 
+    def __post_init__(self) -> None:
+        if self.max_degree is not None and self.max_degree < 1:
+            raise ValueError(f"max_degree must be at least 1, got {self.max_degree}")
+        # NaN fails this test too: a NaN deadline would never pass
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise ValueError(f"time_limit must be nonnegative, got {self.time_limit}")
+
 
 @dataclass(frozen=True)
 class FactorFound:

@@ -203,9 +203,6 @@ class Polynomial:
         )
         return Polynomial(self.field, self.arity, acc)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial power")
@@ -379,12 +376,20 @@ def _coeff_text(c: FieldElement) -> Tuple[bool, str]:
     return False, text
 
 
-def poly_to_text(p: Polynomial, names: Optional[Sequence[str]] = None) -> str:
-    names = tuple(names) if names is not None else default_names(p.arity)
-    if len(names) != p.arity or len(set(names)) != p.arity:
+def _checked_names(
+    field: FieldSpec, arity: int, names: Optional[Sequence[str]]
+) -> Tuple[str, ...]:
+    """The given variable names, or the defaults, after validation."""
+    names = tuple(names) if names is not None else default_names(arity)
+    if len(names) != arity or len(set(names)) != arity:
         raise ValueError("need one distinct name per variable")
-    if p.field.kind == CYCLOTOMIC_KIND and "w" in names:
+    if field.kind == CYCLOTOMIC_KIND and "w" in names:
         raise ValueError("the name w is reserved for the cube root of unity")
+    return names
+
+
+def poly_to_text(p: Polynomial, names: Optional[Sequence[str]] = None) -> str:
+    names = _checked_names(p.field, p.arity, names)
     if p.is_zero():
         return "0"
     pieces = []
@@ -429,12 +434,7 @@ def parse_polynomial(
     text: str, field: FieldSpec, arity: int, names: Optional[Sequence[str]] = None
 ) -> Polynomial:
     """Inverse of :func:`poly_to_text`; round-trips exactly."""
-    names = tuple(names) if names is not None else default_names(arity)
-    if len(names) != arity or len(set(names)) != arity:
-        raise ValueError("need one distinct name per variable")
-    index = {name: i for i, name in enumerate(names)}
-    if field.kind == CYCLOTOMIC_KIND and "w" in index:
-        raise ValueError("the name w is reserved for the cube root of unity")
+    index = {name: i for i, name in enumerate(_checked_names(field, arity, names))}
     compact = text.replace(" ", "")
     if not compact:
         raise ValueError("empty polynomial text")

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -10,7 +12,6 @@ from simplexpoly.poly import Polynomial, poly_to_text
 from simplexpoly.family import GParams, cayley_menger
 from simplexpoly.classify import (
     Char2GParams,
-    Claim,
     FactorizationCertificate,
     Irreducible,
     ZeroPolynomial,
@@ -143,7 +144,6 @@ class TestClassifyG:
         assert v.rule.tag == "HeronCase"
         assert len(v.factors) == 4
         assert all(f.polynomial.degree() == 1 for f in v.factors)
-        assert all(f.claim is Claim.IRREDUCIBLE for f in v.factors)
         assert verify_certificate(v)
 
     def test_omega_case_f7(self):
@@ -183,7 +183,6 @@ class TestClassifyG:
         v = classify_g(GParams.of(Q, 5, 1, 0))
         assert v.rule.tag == "TZeroSquare"
         assert len(v.factors) == 1 and v.factors[0].multiplicity == 2
-        assert v.factors[0].claim is Claim.IRREDUCIBLE
 
     def test_char3_reaches_heron_not_omega(self):
         # over F_3 the literal t = 3 is 0, so the square case fires
@@ -286,3 +285,65 @@ class TestCertificates:
         assert irr["verdict"] == "irreducible"
         zero = verdict_to_json(classify_g(Char2GParams(3, 0, 1)))
         assert zero["verdict"] == "zero-polynomial"
+
+
+# Every m = 1, 2 diagonal form over F_3, F_5, F_7, a small grid over Q and Q(w),
+# and the characteristic-2 token; and every quadratic over the same fields.
+_GRIDS = {
+    "F3": (F3, range(3)),
+    "F5": (F5, range(5)),
+    "F7": (F7, range(7)),
+    "Q": (Q, [-4, -1, 0, 1, 2, Fraction(9, 4)]),
+    "Qw": (CYCLOTOMIC, ["-3", "-1", "0", "1", "w", "1+2*w"]),
+    "char2": (CHAR2, range(4)),
+}
+
+
+def _quadratic_reports(kind, name):
+    field, grid = _GRIDS[name]
+    values = list(grid)
+    nonzero = [v for v in values if (v % 2 if field is CHAR2 else not field.coerce(v).is_zero())]
+    if kind == "diagonal":
+        tuples = [
+            (c0, *cs) for m in (1, 2) for c0 in values for cs in product(nonzero, repeat=m)
+        ]
+        verdicts = [classify_diagonal_quadratic(field, list(t)) for t in tuples]
+    else:
+        verdicts = [
+            factor_quadratic(*(field.coerce(v) for v in (a, b, c)))
+            for a in nonzero for b in values for c in values
+        ]
+    return json.dumps([verdict_to_json(v) for v in verdicts], sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "kind, name, digest",
+    [
+        ("diagonal", "F3",
+         "f641629953caa099fc89d01c2e5777dea054973d20ffb697b5d3d4d0fa0f78ce"),
+        ("diagonal", "F5",
+         "d7d84a8faceb0700515803067632dea42c0fd4ce698183f33be10358f974c884"),
+        ("diagonal", "F7",
+         "4bfb8e1b92717da5dee1e92f3dd48789449a42c417579a51a67d1b094c885839"),
+        ("diagonal", "Q",
+         "b532b97c404315dd133b6a1d717136830dedf1a059a8eae647cc54a987e45964"),
+        ("diagonal", "Qw",
+         "99d71d8f168d616d7ee0928d3ad38c94e612795c748cfdb8f24d488f7a5e1aab"),
+        ("diagonal", "char2",
+         "0a68e86a4ede5a765bb70c9670da5f4d661235d990791bcc5801509eae920aa2"),
+        ("univariate", "F3",
+         "59ceed9c1f929244c2d8c7830915d211b449bcb8303058ea271bdc93c7ad049a"),
+        ("univariate", "F5",
+         "a0869136531e3e8f461371b5d8534a0c2554ab9c9c69e85b6c494012e66f941a"),
+        ("univariate", "F7",
+         "703d521bc2e95b913b2835c41d210bd8603d08007599cffb51580036c1a037b8"),
+        ("univariate", "Q",
+         "8123e264a98dc90f285be37680b10e3ea5b986fc0e870ef9cc51dc0a16fbeb10"),
+        ("univariate", "Qw",
+         "a74d5214ff39c557ccd74b1f26ee24c26d3176957b1de4b5970969503c683935"),
+    ],
+)
+def test_quadratic_reports_pinned(kind, name, digest):
+    # a change that alters one of these reports must update its pin on purpose
+    text = _quadratic_reports(kind, name)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -131,6 +134,14 @@ class TestOracleCommand:
         assert code == EXIT_BUDGET
         assert report["payload"]["reason"].startswith("accept table of ")
 
+    @pytest.mark.parametrize(
+        "option", [["--max-degree", "-1"], ["--time-limit", "-1"], ["--time-limit", "nan"]]
+    )
+    def test_out_of_range_budget_is_usage_error(self, capsys, option):
+        argv = ["oracle", "--poly", "x+1", "--field", "5", "--vars", "x", *option]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error")
+
     def test_no_factor(self, capsys):
         code, report = run_json(
             capsys, "oracle", "--poly", "x^2+y^2", "--field", "7", "--vars", "x,y",
@@ -148,6 +159,10 @@ class TestGeometryCommand:
         assert code1 == code2 == EXIT_OK
         assert out1 == out2  # byte-identical reports for identical seeds
         assert json.loads(out1)["payload"]["max_abs_residual"] < 1e-9
+
+    def test_zero_samples_is_usage_error(self, capsys):
+        code, out = run(capsys, "geometry", "verify", "--n", "3", "--a", "1", "--samples", "0")
+        assert code == EXIT_USAGE and out == ""
 
     def test_solve(self, capsys):
         code, report = run_json(capsys, "geometry", "solve", "--known", "5,7,8")
@@ -280,3 +295,24 @@ class TestReportShape:
         code, report = run_json(capsys, "geometry", "solve", "--known", "3,4,5", "--timing")
         assert code == EXIT_OK
         assert isinstance(report["timing_s"], float)
+
+
+@pytest.mark.parametrize("extra", [[], ["--pretty"]], ids=["json", "pretty"])
+def test_closed_stdout_keeps_exit_code(extra):
+    # the reader is gone before the report is written, as with `| true`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(simplexpoly.__file__))
+    argv = ["classify", "--field", "Q", "--m", "3", "--a", "0", "--t", "2", *extra]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "simplexpoly.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == b""

@@ -124,11 +124,25 @@ class TestIsSquare:
             assert root * root == sq
 
     def test_tonelli_shanks_moderate_prime(self):
-        p = 99991  # p % 4 == 3 fast path not taken for all inputs
+        p = 99991  # 3 (mod 4): 2-adic order 1, so the Tonelli-Shanks loop never runs
         spec = prime_field(p)
         for a in (4, 10, 3533, 99990):
             root = is_square(spec.from_int(a * a))
             assert root is not None and (root * root).value == a * a % p
+
+
+    def test_square_roots_mod_every_small_prime(self):
+        # p = 3 (mod 4) and 2-adic orders of p - 1 up to 8 (p = 257)
+        for p in range(3, 300, 2):
+            if any(p % d == 0 for d in range(3, p, 2)):
+                continue
+            spec = prime_field(p)
+            smallest = {}
+            for r in range(p - 1, -1, -1):
+                smallest[r * r % p] = r
+            for a in range(p):
+                root = is_square(spec.from_int(a))
+                assert (None if root is None else root.value) == smallest.get(a), (p, a)
 
 
 class TestPrimitiveCubeRoot:

@@ -95,6 +95,14 @@ class TestBruteForceSearch:
         )
         assert isinstance(outcome, BudgetExceeded)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"max_degree": 0}, {"max_degree": -1}, {"time_limit": -1.0}, {"time_limit": float("nan")}],
+    )
+    def test_out_of_range_budget_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            SearchBudget(**kwargs)
+
     def test_time_limit_holds_between_divisions(self, monkeypatch):
         # the clock jumps past the deadline as soon as one division has run;
         # the search must stop there, not finish the candidate chunk
