@@ -4,8 +4,8 @@ Every subcommand emits a single JSON report on stdout (``--pretty`` renders
 a human-readable view instead). Reports are deterministic for identical
 inputs and seeds; wall-clock timing is only included with ``--timing``.
 
-Exit codes: 0 success, 1 usage error, 2 search budget exceeded, 3 internal
-exact-identity failure.
+Exit codes: 0 success, 1 usage error, 2 search or size budget exceeded,
+3 internal exact-identity failure.
 """
 
 from __future__ import annotations
@@ -54,9 +54,26 @@ EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_INTERNAL = 3
 
+# size budgets, checked before any polynomial or matrix is built
+MAX_G_TERMS = 100_000  # g has (m+1)(m+2)/2 terms: m = 445 is the largest accepted
+MAX_SIMPLEX_N = 1_000  # geometry verify builds an (n+1)x(n+1) matrix
+
 
 class UsageError(Exception):
     pass
+
+
+class SizeBudgetExceeded(Exception):
+    pass
+
+
+def check_g_size(m: int) -> None:
+    """Refuse an m whose quartic g would have more than MAX_G_TERMS terms."""
+    terms = (m + 1) * (m + 2) // 2
+    if terms > MAX_G_TERMS:
+        raise SizeBudgetExceeded(
+            f"g at m={m} has {terms} terms, above the limit of {MAX_G_TERMS}"
+        )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,6 +153,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if kind in ("g", "f"):
         if args.m is None or args.t is None:
             raise UsageError(f"family {kind} requires --m and --t")
+        check_g_size(args.m)
         if kind == "g":
             if args.a is None:
                 raise UsageError("family g requires --a")
@@ -176,6 +194,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     else:
         if args.m is None or args.a is None or args.t is None:
             raise UsageError("classify requires --m, --a and --t (or --cayley-menger)")
+        check_g_size(args.m)
         if isinstance(field, Char2Token):
             verdict = classify_g(Char2GParams(args.m, int(args.a), int(args.t)))
         else:
@@ -218,6 +237,10 @@ def cmd_geometry(args: argparse.Namespace) -> int:
     if args.action == "verify":
         if args.samples < 1:
             raise UsageError(f"--samples must be at least 1, got {args.samples}")
+        if args.n > MAX_SIMPLEX_N:
+            raise SizeBudgetExceeded(
+                f"simplex dimension {args.n} is above the limit of {MAX_SIMPLEX_N}"
+            )
         simplex = regular_simplex(args.n, args.a)
         rng = Random(args.seed)
         worst = 0.0
@@ -345,6 +368,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SizeBudgetExceeded as exc:
+        print(f"size budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except (ValueError, ZeroDivisionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

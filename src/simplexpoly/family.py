@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Callable, ClassVar, Dict, List, Tuple
 
 from .field import RATIONAL, FieldElement, FieldSpec
-from .poly import Polynomial
+from .poly import Monomial, Polynomial, _accumulate
 
 
 class InternalCheckError(RuntimeError):
@@ -46,11 +46,40 @@ class GParams:
 
 
 def build_g(params: GParams) -> Polynomial:
-    """The quartic (a^2 + sum x_i^2)^2 - t (a^4 + sum x_i^4), expanded."""
-    ones = [1] * params.m
-    squares = Polynomial.diagonal(params.field, params.a**2, ones, 2)
-    fourths = Polynomial.diagonal(params.field, params.a**4, ones, 4)
-    return squares**2 - fourths.scale(params.t)
+    """The quartic (a^2 + sum x_i^2)^2 - t (a^4 + sum x_i^4), expanded.
+
+    The expansion is a^4 (1-t) + 2a^2 sum x_i^2 + (1-t) sum x_i^4
+    + 2 sum_{i<j} x_i^2 x_j^2, written term by term with zero terms dropped.
+    """
+    field, m = params.field, params.m
+    a2 = params.a**2
+    one_minus_t = field.one() - params.t
+    two = field.from_int(2)
+    constant = a2 * a2 * one_minus_t
+    square = two * a2
+    # one exponent list, set and reset around each term: cheaper than
+    # slicing a fresh tuple together for each of the (m+1)(m+2)/2 terms
+    exps = [0] * m
+    terms: Dict[Monomial, FieldElement] = {}
+    if not constant.is_zero():
+        terms[tuple(exps)] = constant
+    if not square.is_zero():
+        for i in range(m):
+            exps[i] = 2
+            terms[tuple(exps)] = square
+            exps[i] = 0
+    quartic = not one_minus_t.is_zero()
+    for i in range(m):
+        if quartic:
+            exps[i] = 4
+            terms[tuple(exps)] = one_minus_t
+        exps[i] = 2
+        for j in range(i + 1, m):
+            exps[j] = 2
+            terms[tuple(exps)] = two
+            exps[j] = 0
+        exps[i] = 0
+    return Polynomial(field, m, terms)
 
 
 def build_f(field: FieldSpec, m: int, t) -> Polynomial:
@@ -132,13 +161,14 @@ def _bordered_determinant(
         if len(cols) == 1:
             result = entries[r][cols[0]]
         else:
-            result = zero
+            acc: Dict[Monomial, FieldElement] = {}
             for pos, c in enumerate(cols):
                 e = entries[r][c]
                 if e.is_zero():
                     continue
-                term = e * minor(cols[:pos] + cols[pos + 1 :])
-                result = result + (term if pos % 2 == 0 else -term)
+                terms = (e * minor(cols[:pos] + cols[pos + 1 :])).terms.items()
+                _accumulate(acc, terms if pos % 2 == 0 else ((x, -k) for x, k in terms))
+            result = Polynomial(field, arity, acc)
         memo[cols] = result
         return result
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dataclass_field
+from itertools import compress
 from operator import add
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -193,6 +194,17 @@ class Polynomial:
         self._check_ring(other)
         if len(self.terms) > len(other.terms):
             self, other = other, self
+        if len(self.terms) == 1:
+            # a monomial shifts the other operand's terms, which stay distinct
+            # and nonzero, so nothing needs accumulating or pruning
+            ((shift, c),) = self.terms.items()
+            if not c.is_one():
+                terms = {tuple(map(add, shift, e)): c * k for e, k in other.terms.items()}
+            elif any(shift):
+                terms = {tuple(map(add, shift, e)): k for e, k in other.terms.items()}
+            else:
+                return other
+            return Polynomial(self.field, self.arity, terms)
         acc = _accumulate(
             {},
             (
@@ -397,8 +409,7 @@ def poly_to_text(p: Polynomial, names: Optional[Sequence[str]] = None) -> str:
         neg, mag = _coeff_text(p.terms[exps])
         factors = [
             name if e == 1 else f"{name}^{e}"
-            for name, e in zip(names, exps)
-            if e
+            for name, e in compress(zip(names, exps), exps)
         ]
         if not factors:
             body = mag

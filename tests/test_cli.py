@@ -7,11 +7,12 @@ import sys
 import pytest
 
 import simplexpoly
-from simplexpoly import diophantine
+from simplexpoly import cli, diophantine
 from simplexpoly.cli import (
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_USAGE,
+    check_g_size,
     main,
     parse_field,
 )
@@ -71,6 +72,52 @@ class TestClassifyCommand:
     def test_bad_field(self, capsys):
         code = main(["classify", "--field", "F4", "--m", "3", "--a", "0", "--t", "2"])
         assert code == EXIT_USAGE
+
+
+class Reached(Exception):
+    """Raised by a stub that the command reaches only past its size checks."""
+
+
+def reached(*args):
+    raise Reached
+
+
+class TestSizeBudgets:
+    def test_g_term_count_limit(self):
+        assert cli.MAX_G_TERMS == 100_000
+        check_g_size(445)  # (446 * 447) / 2 = 99,681 terms
+        with pytest.raises(cli.SizeBudgetExceeded, match="100128 terms"):
+            check_g_size(446)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--field", "Q", "--m", "{m}", "--a", "1", "--t", "5"],
+            ["classify", "--field", "char2", "--m", "{m}", "--a", "1", "--t", "0"],
+            ["construct", "--family", "g", "--m", "{m}", "--a", "1", "--t", "5"],
+            ["construct", "--family", "f", "--m", "{m}", "--t", "5"],
+        ],
+    )
+    def test_oversized_m_refused_before_building(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr(cli, "build_g", reached)
+        monkeypatch.setattr(cli, "build_f", reached)
+        monkeypatch.setattr(cli, "classify_g", reached)
+        for m in ("446", "100000"):
+            assert main([a.format(m=m) for a in argv]) == EXIT_BUDGET
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "terms, above the limit of 100000" in captured.err
+        with pytest.raises(Reached):
+            main([a.format(m="445") for a in argv])
+
+    def test_oversized_simplex_refused_before_building(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "regular_simplex", reached)
+        assert main(["geometry", "verify", "--n", "1001", "--a", "1"]) == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "above the limit of 1000" in captured.err
+        with pytest.raises(Reached):
+            main(["geometry", "verify", "--n", "1000", "--a", "1"])
 
 
 class TestConstructCommand:
@@ -135,7 +182,13 @@ class TestOracleCommand:
         assert report["payload"]["reason"].startswith("accept table of ")
 
     @pytest.mark.parametrize(
-        "option", [["--max-degree", "-1"], ["--time-limit", "-1"], ["--time-limit", "nan"]]
+        "option",
+        [
+            ["--max-degree", "-1"],
+            ["--time-limit", "-1"],
+            ["--time-limit", "nan"],
+            ["--max-field-size", "2"],
+        ],
     )
     def test_out_of_range_budget_is_usage_error(self, capsys, option):
         argv = ["oracle", "--poly", "x+1", "--field", "5", "--vars", "x", *option]

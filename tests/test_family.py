@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import permutations
 from random import Random
@@ -5,8 +6,8 @@ from random import Random
 import pytest
 
 from simplexpoly import family
-from simplexpoly.field import CYCLOTOMIC, RATIONAL, prime_field
-from simplexpoly.poly import Polynomial
+from simplexpoly.field import CYCLOTOMIC, RATIONAL, FieldElement, prime_field
+from simplexpoly.poly import Polynomial, poly_to_text
 from simplexpoly.family import (
     CayleyMengerRing,
     GParams,
@@ -67,7 +68,95 @@ class TestBuildG:
                 )
 
 
+def count_calls(monkeypatch, cls, name):
+    """Record the second argument of every call of cls.name from now on."""
+    calls = []
+    method = getattr(cls, name)
+
+    def counted(self, other):
+        calls.append(other)
+        return method(self, other)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def expanded_g(params):
+    """g through the general product, as (a^2 + sum x_i^2)^2 - t (a^4 + sum x_i^4)."""
+    ones = [1] * params.m
+    squares = Polynomial.diagonal(params.field, params.a**2, ones, 2)
+    fourths = Polynomial.diagonal(params.field, params.a**4, ones, 4)
+    return squares * squares - fourths.scale(params.t)
+
+
+class TestBuildGClosedForm:
+    @pytest.mark.parametrize(
+        "field", [prime_field(3), prime_field(5), prime_field(101), Q, CYCLOTOMIC], ids=repr
+    )
+    def test_matches_general_expansion(self, field):
+        other_t = [Fraction(7, 2)]
+        if field == CYCLOTOMIC:
+            other_t.append(CYCLOTOMIC.omega_element(Fraction(1, 2), Fraction(-3)))
+        for m in range(3, 9):
+            for t in [0, 1, 2, 3] + other_t:
+                for a in (0, 2, Fraction(-1, 2)):
+                    params = GParams.of(field, m, a, t)
+                    g, expected = build_g(params), expanded_g(params)
+                    assert g == expected, (m, a, t)
+                    # the same term order too, so nothing that walks the terms changes
+                    assert list(g.terms) == list(expected.terms), (m, a, t)
+
+    def test_makes_no_polynomial_product(self, monkeypatch):
+        calls = count_calls(monkeypatch, Polynomial, "__mul__")
+        for m in (3, 10, 40):
+            build_g(GParams.of(Q, m, 1, 5))
+            build_f(Q, m, 2)
+        assert calls == []
+
+    @pytest.mark.parametrize("field", [prime_field(101), Q, CYCLOTOMIC], ids=repr)
+    def test_field_products_do_not_grow_with_m(self, monkeypatch, field):
+        counts = []
+        for m in (3, 10, 40, 117):
+            params = GParams.of(field, m, 2, 5)
+            calls = count_calls(monkeypatch, FieldElement, "__mul__")
+            build_g(params)
+            monkeypatch.undo()
+            counts.append(len(calls))
+        assert counts == [counts[0]] * 4
+        assert counts[0] <= 8
+
+
+# sha256 of poly_to_text(cayley_menger(n, field)), recorded before the
+# determinant expansion was rewritten to accumulate each minor in one map
+CM_TEXT_SHA256 = {
+    ("Q", 2): "cbf0626274b9ff5888f7a6af864c2a2f4cf19dd828195983f10411da62129bc3",
+    ("Q", 3): "ea3a8f75c837560effaccd628242cd69aefcf31ebf3b5dd7e6faca5c0e58a181",
+    ("Q", 4): "5cf4f1160b4e826a98f0c0989673aa7604e6501679729c27c51d711682b2272f",
+    ("Q", 5): "833bfc0d9a69bd822f3ba12a4b5b1ebe21d7f7cad287c12ad0de90add9974b35",
+    ("Q", 6): "4907cc7aa24f0a6115c694ba1859c0dfd944c0365d677473fed96bcef75a864d",
+    ("F7", 2): "18255495141650e830d0cf21dfa04e3e04dc1c0251d1d9ee182d84203c407c42",
+    ("F7", 3): "394ce1fe929e4d241f79ffd34ea31c3fcacf57571b88dcbf86474f58c18c2836",
+    ("F7", 4): "55de512df7429a37642ad7fd64403b93204a8e05175d1b42eef350a099bfa7dd",
+    ("F7", 5): "c1eae075f71f2bbf2af5796ce179ab55d178113cc94e99c2ddb93dc773ea0021",
+    ("F7", 6): "206974d6d785971e2c69fe6206b24c09b4281c86683a10bdef6c05a912864e06",
+}
+
+
 class TestCayleyMenger:
+    @pytest.mark.parametrize("key", sorted(CM_TEXT_SHA256), ids=lambda k: f"{k[0]}-n{k[1]}")
+    def test_text_pinned(self, key):
+        field = Q if key[0] == "Q" else prime_field(7)
+        text = poly_to_text(cayley_menger(key[1], field))
+        assert hashlib.sha256(text.encode()).hexdigest() == CM_TEXT_SHA256[key]
+
+    def test_no_field_products(self, monkeypatch):
+        # every entry of the bordered matrix is 1 or a monomial with
+        # coefficient 1, so the expansion only adds and negates (38,547
+        # products when each product went through the general loop)
+        calls = count_calls(monkeypatch, FieldElement, "__mul__")
+        cayley_menger(6, Q)
+        assert calls == []
+
     def test_n2_is_negated_heron(self):
         ring = CayleyMengerRing(2)
         z = Polynomial.variable(Q, 3, ring.position(1, 2))

@@ -97,7 +97,13 @@ class TestBruteForceSearch:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"max_degree": 0}, {"max_degree": -1}, {"time_limit": -1.0}, {"time_limit": float("nan")}],
+        [
+            {"max_degree": 0},
+            {"max_degree": -1},
+            {"time_limit": -1.0},
+            {"time_limit": float("nan")},
+            {"max_field_size": 2},
+        ],
     )
     def test_out_of_range_budget_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import add
 from random import Random
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from simplexpoly.field import CYCLOTOMIC, RATIONAL, prime_field
 from simplexpoly.poly import (
     Polynomial,
+    _accumulate,
     parse_polynomial,
     poly_to_text,
 )
@@ -81,6 +83,32 @@ class TestRingOps:
             calls.clear()
             p**n
             assert len(calls) == expected, n
+
+
+    def test_single_term_operand_matches_general_product(self, any_field):
+        def general(p, q):
+            # the double loop over term pairs, without the single-term path
+            terms = _accumulate(
+                {},
+                (
+                    (tuple(map(add, e1, e2)), c1 * c2)
+                    for e1, c1 in p.terms.items()
+                    for e2, c2 in q.terms.items()
+                ),
+            )
+            return Polynomial(p.field, p.arity, terms)
+
+        rng = Random(13)
+        # 1, -1 and other values (F_3 has none: there 2 = -1)
+        coefficients = dict.fromkeys(any_field.from_int(k) for k in (1, -1, 2, 4))
+        for c in coefficients:
+            for exps in [(0, 0, 0), (1, 0, 0), (0, 2, 3), (4, 1, 1)]:
+                monomial = Polynomial(any_field, 3, {exps: c})
+                for _ in range(10):
+                    q = random_polynomial(any_field, 3, rng)
+                    expected = general(monomial, q)
+                    assert monomial * q == expected
+                    assert q * monomial == expected
 
 
 class TestDiagonal:
