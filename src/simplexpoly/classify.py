@@ -5,8 +5,8 @@ product is re-checked exactly against the input at construction time;
 irreducible inputs yield a distinct verdict naming the rule that applies.
 Characteristic 2 is handled symbolically: parameters are integer literals
 interpreted through the unique ring map into a characteristic-2 field, the
-certificate factors are integer lifts, and the product check compares
-coefficients modulo 2.
+certificate factors are integer lifts, and the product check reduces
+coefficients modulo 2 after every product.
 """
 
 from __future__ import annotations
@@ -95,23 +95,48 @@ def _char_str(field: Union[FieldSpec, Char2Token]) -> str:
     return str(field.characteristic())
 
 
-def _congruent_mod_2(p: Polynomial, q: Polynomial) -> bool:
-    """Coefficientwise congruence mod 2 for rational polynomials."""
-    diff = p - q
-    for c in diff.terms.values():
+def _mod_2(p: Polynomial) -> Optional[Polynomial]:
+    """p with every coefficient replaced by its residue 0 or 1 mod 2.
+
+    None when a coefficient has an even denominator and so no residue.
+    """
+    terms = {}
+    for exps, c in p.terms.items():
         frac: Fraction = c.value
-        if frac.denominator % 2 == 0 or frac.numerator % 2 != 0:
-            return False
-    return True
+        if frac.denominator % 2 == 0:
+            return None
+        if frac.numerator % 2:
+            terms[exps] = p.field.one()
+    return Polynomial(p.field, p.arity, terms)
+
+
+def _product_mod_2(cert: FactorizationCertificate) -> Optional[Polynomial]:
+    """unit * prod(factor^multiplicity) mod 2, reduced after every product.
+
+    Squaring mod 2 keeps only the squares of the terms, so the fourth power
+    of a linear form with m + 1 terms never holds more than (m + 1)^2 term
+    products, where the product over Q has C(m + 4, 4) terms.
+    """
+    product = _mod_2(Polynomial.constant(cert.input.field, cert.input.arity, cert.unit))
+    for f in cert.factors:
+        base, n = _mod_2(f.polynomial), f.multiplicity
+        while n and product is not None and base is not None:
+            if n % 2:
+                product = _mod_2(product * base)
+            n //= 2
+            if n:
+                base = _mod_2(base * base)
+    return product
 
 
 def verify_certificate(cert: FactorizationCertificate) -> bool:
     """Re-multiply the certificate and compare with its input exactly."""
+    if cert.rule.conditions.get("char") == "2":
+        product = _product_mod_2(cert)
+        return product is not None and product == _mod_2(cert.input)
     product = Polynomial.constant(cert.input.field, cert.input.arity, cert.unit)
     for f in cert.factors:
         product = product * f.polynomial**f.multiplicity
-    if cert.rule.conditions.get("char") == "2":
-        return _congruent_mod_2(product, cert.input)
     return product == cert.input
 
 

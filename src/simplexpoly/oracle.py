@@ -7,6 +7,15 @@ coefficient vectors, monomials listed in descending grlex). Homogeneous
 inputs only need homogeneous candidates, since every factor of a homogeneous
 polynomial is homogeneous.
 
+Leading homogeneous components multiply, so a divisor's top-degree form
+divides the input's (Ostrowski; Gao, J. Algebra 237, 2001). For an
+inhomogeneous input, a homogeneous search of the input's top-degree form
+first collects its monic divisors of degree d, when the search reaches d;
+in the tail order, where the degree-d monomials are the high digits, each
+such divisor fixes one aligned run of candidates, and only those runs are
+enumerated. Skipped runs still count in ``candidates_tried``; the candidate
+budget counts the forms searched and the runs enumerated.
+
 The search is exhaustive within its budget or reports BudgetExceeded, never
 a silent partial answer. A cheap necessary-condition filter prunes
 candidates in bulk with numpy before any exact division runs: on each of up
@@ -22,8 +31,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
-from math import gcd, inf
+from itertools import combinations_with_replacement, islice
+from math import comb, gcd, inf
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -44,7 +53,8 @@ class SearchBudget:
     ``max_degree`` caps the candidate degree (None: up to half the input
     degree); ``max_field_size`` caps the prime modulus; ``homogeneous_only``
     refuses non-homogeneous inputs outright; ``max_candidates`` caps the
-    total candidate-space size; ``time_limit`` is wall-clock seconds.
+    candidates enumerated (for a non-homogeneous input, the leading forms
+    searched and the runs they leave); ``time_limit`` is wall-clock seconds.
     """
 
     max_degree: Optional[int] = None
@@ -97,20 +107,33 @@ def _monomials_desc(arity: int, degree: int, exact: bool) -> List[Monomial]:
 
 
 def _line_matrix(
-    monos: Sequence[Monomial], coords: Sequence[int], vy: int, q: int, deg: int
+    monos: Sequence[Monomial],
+    coords: Sequence,
+    vy: Union[int, Sequence[int]],
+    q: int,
+    deg: int,
 ) -> np.ndarray:
     """(deg+1) x len(monos) map from coefficients to y-coefficients on a line.
 
     The line pins every variable except vy to coords, in order; column j
-    holds the value of monos[j] there, in the row of its y-degree.
+    holds the value of monos[j] there, in the row of its y-degree. Lines
+    stack: coords of shape (..., arity-1) and vy of shape (...) give maps
+    of shape (..., deg+1, len(monos)).
     """
-    mat = np.zeros((deg + 1, len(monos)), dtype=np.int64)
-    for j, exps in enumerate(monos):
-        w = 1
-        for c, e in zip(coords, exps[:vy] + exps[vy + 1 :]):
-            w = w * pow(c, e, q) % q
-        mat[exps[vy], j] = w
-    return mat
+    exps = np.asarray(monos, dtype=np.int64).reshape(len(monos), -1)
+    vy = np.asarray(vy)
+    free = np.arange(exps.shape[1]) == vy[..., None]
+    point = np.ones(free.shape, dtype=np.int64)  # the free variable's powers are 1
+    point[~free] = np.ravel(coords)
+    power = np.ones((q, deg + 1), dtype=np.int64)  # power[c, e] = c^e mod q
+    for e in range(deg):
+        power[:, e + 1] = power[:, e] * np.arange(q) % q
+    factors = power[point[..., None, :], exps]
+    values = factors[..., 0]
+    for i in range(1, exps.shape[1]):
+        values = values * factors[..., i] % q
+    rows = exps.T[vy][..., None, :] == np.arange(deg + 1)[:, None]
+    return np.where(rows, values[..., None, :], 0)
 
 
 def _spread(count: int) -> Iterator[int]:
@@ -142,18 +165,20 @@ def _filter_lines(
     line through a coordinate axis rejects almost nothing on homogeneous
     input, which is why points with a zero coordinate come last.
     """
-    monos = list(p.terms)
+    monos = np.array(list(p.terms), dtype=np.int64)
     coeffs = np.array([c.value for c in p.terms.values()], dtype=np.int64)
-    lines = []
-    for turn in range(p.arity):
-        for j, coords in enumerate(_spread_points(p.arity - 1, q)):
-            vy = (j + turn) % p.arity
-            restricted = _line_matrix(monos, coords, vy, q, deg) @ coeffs % q
-            if restricted.any():
-                lines.append((vy, coords, restricted))
-                if len(lines) == _LINES:
-                    return lines
-    return lines
+    candidates = (
+        ((j + turn) % p.arity, coords)
+        for turn in range(p.arity)
+        for j, coords in enumerate(_spread_points(p.arity - 1, q))
+    )
+    lines: List[Tuple[int, Tuple[int, ...], np.ndarray]] = []
+    # most lines qualify, so the candidates are restricted _LINES at a time
+    while len(lines) < _LINES and (batch := list(islice(candidates, _LINES))):
+        vys, points = zip(*batch)
+        restricted = _line_matrix(monos, points, vys, q, deg) @ coeffs % q
+        lines += [(vy, c, r) for vy, c, r in zip(vys, points, restricted) if r.any()]
+    return lines[:_LINES]
 
 
 def _accept_tables(
@@ -198,12 +223,22 @@ def _low_codes(cols: np.ndarray, q: int) -> np.ndarray:
     cols is the (deg+1) x k block of a line matrix for the k lowest tail
     digits; pattern j has digit (j // q^(k-1-i)) % q in column i. Codes
     add digit by digit mod q, so a pattern's code and the code of the
-    higher digits combine without carries.
+    higher digits combine without carries. The digit rows stay below 2q in
+    the narrowest unsigned type, where min(y, y - q) reduces mod q (y - q
+    wraps above y when y < q), and are packed into codes once at the end.
     """
-    y = np.zeros((len(cols), 1), dtype=np.int64)
-    for col in cols.T:
-        y = (y[:, :, None] + col[:, None, None] * np.arange(q)).reshape(len(cols), -1)
-    return q ** np.arange(len(cols)) @ (y % q)
+    rows, narrow = len(cols), np.min_scalar_type(2 * q)
+    steps = (cols[:, :, None] * np.arange(q) % q).astype(narrow)
+    y = np.zeros((rows, 1), dtype=narrow)
+    # the last column first: each new digit is the most significant so far
+    for i in range(cols.shape[1] - 1, -1, -1):
+        y = (steps[:, i, :, None] + y[:, None, :]).reshape(rows, -1)
+        y = np.minimum(y, y - narrow.type(q))
+    codes = y[-1].astype(np.int64)
+    for row in y[-2::-1]:
+        codes *= q
+        codes += row
+    return codes
 
 
 def _candidate_polynomial(
@@ -214,6 +249,108 @@ def _candidate_polynomial(
         if c:
             terms[monos[lead + 1 + offset]] = field.from_int(int(c))
     return Polynomial(field, arity, terms)
+
+
+class _Refused(Exception):
+    """A budget ran out mid-search; the message is the BudgetExceeded reason."""
+
+
+def _check_deadline(deadline: float) -> None:
+    if time.monotonic() > deadline:
+        raise _Refused("time limit exceeded")
+
+
+def _check_candidates(work: int, budget: SearchBudget) -> None:
+    if work > budget.max_candidates:
+        raise _Refused(f"candidate space of {work} exceeds budget {budget.max_candidates}")
+
+
+class _Search:
+    """The filtered trial division of one input, one candidate degree at a time.
+
+    Degree d's accept tables extend those of degree d-1, so degrees must be
+    searched in ascending order, each once.
+    """
+
+    def __init__(self, p: Polynomial, deadline: float) -> None:
+        self.p, self.q, self.deadline = p, p.field.p, deadline
+        self.homogeneous, _ = p.is_homogeneous()
+        deg = p.degree()
+        self.lines = _filter_lines(p, self.q, deg)
+        self.restricted = np.array(
+            [r for _, _, r in self.lines], dtype=np.int64
+        ).reshape(-1, deg + 1)
+        # degree 0: the nonzero constants
+        self.tables = np.tile(np.arange(self.q) > 0, (len(self.lines), 1))
+
+    def divisors(
+        self, d: int, runs: Optional[Dict[int, List[int]]] = None
+    ) -> Iterator[Tuple[int, int, FactorFound]]:
+        """(lead, tail index, found) for each monic divisor of degree d, in order.
+
+        Without runs every tail of every block is a candidate. With runs,
+        block lead tries only the runs listed in runs[lead]: run r is the
+        aligned range of q^k tails, k the number of monomials of degree
+        below d, whose higher digits (those of the degree-d monomials) read
+        r. A run is therefore the tails of one degree-d leading form.
+        """
+        p, q = self.p, self.q
+        size = q ** (d + 1)  # bytes of one line's accept table
+        if size > _MAX_TABLE_BYTES:
+            raise _Refused(
+                f"accept table of {size} bytes for degree {d} exceeds budget {_MAX_TABLE_BYTES}"
+            )
+        # as many lines as the budget holds; with none, one that passes everything
+        used = self.lines[: _MAX_TABLE_BYTES // size]
+        tables = _accept_tables(self.restricted[: len(used)], self.tables, d, q, self.deadline)
+        if tables is None:
+            raise _Refused("time limit exceeded")
+        self.tables = tables
+        monos = _monomials_desc(p.arity, d, exact=self.homogeneous)
+        lead_count = comb(p.arity + d - 1, d)
+        if used:
+            vys, points, _ = zip(*used)
+            mats = _line_matrix(monos, points, vys, q, d)
+        else:
+            mats = np.zeros((1, d + 1, len(monos)), dtype=np.int64)
+            tables = np.ones((1, size), dtype=bool)
+        first, first_table = mats[0], tables[0].reshape((q,) * (d + 1))
+        powers = q ** np.arange(d + 1)
+        axes = tuple(range(d + 1))
+        codes_low = None
+        # blocks with the latest possible leading monomial come first
+        for lead in range(lead_count - 1, -1, -1):
+            t_len = len(monos) - 1 - lead
+            run_len = t_len if runs is None else len(monos) - lead_count
+            # chunks are aligned runs of q^low tails that share their high digits
+            low = 0
+            while low < run_len and q ** (low + 1) <= _CHUNK:
+                low += 1
+            high = t_len - low
+            places = q ** np.arange(t_len - 1, -1, -1)
+            later = [(m[:, lead + 1 :].T, m[:, lead], t) for m, t in zip(mats[1:], tables[1:])]
+            high_cols = first[:, lead + 1 : lead + 1 + high]
+            # the low digits are those of the last monomials in every block,
+            # and low never falls from one block to the next
+            if low != codes_low:
+                codes, codes_low = _low_codes(first[:, len(monos) - low :], q), low
+            for r in [0] if runs is None else runs.get(lead, []):
+                for start in range(r * q**run_len, (r + 1) * q**run_len, q**low):
+                    _check_deadline(self.deadline)
+                    # the restriction of a tail is the high digits' shift plus
+                    # its low pattern's code, so shift the table, not the codes
+                    shift = (first[:, lead] + high_cols @ (start // places[:high] % q)) % q
+                    shifted = np.roll(first_table, tuple(-shift[::-1]), axis=axes)
+                    rows = np.flatnonzero(shifted.ravel()[codes])
+                    tails = (start + rows)[:, None] // places % q
+                    for tail_mat, base, table in later:
+                        tails = tails[table[(tails @ tail_mat + base) % q @ powers]]
+                    for tail in tails:
+                        _check_deadline(self.deadline)
+                        cand = _candidate_polynomial(p.field, p.arity, monos, lead, tail)
+                        quotient = p.exact_divide(cand)
+                        if quotient is not None:
+                            yield lead, int(tail @ places), FactorFound(cand, quotient)
 
 
 def brute_force_factor_search(
@@ -239,75 +376,34 @@ def brute_force_factor_search(
     degree_cap = half if budget.max_degree is None else min(budget.max_degree, half)
     exhaustive = degree_cap == half
 
-    plans = []
-    total = 0
+    # total counts every monic candidate, work the ones enumerated: the
+    # monic degree-d forms, then (for inhomogeneous p) the runs of the forms
+    # that divide p's leading form, q^(monomials of degree < d) tails each
+    total = work = 0
     for d in range(1, degree_cap + 1):
-        monos = _monomials_desc(p.arity, d, exact=homogeneous)
-        lead_count = sum(1 for e in monos if sum(e) == d)
-        block_sizes = [q ** (len(monos) - 1 - lead) for lead in range(lead_count)]
-        total += sum(block_sizes)
-        plans.append((d, monos, lead_count))
-    if total > budget.max_candidates:
-        return BudgetExceeded(
-            f"candidate space of {total} exceeds budget {budget.max_candidates}"
-        )
+        forms = (q ** comb(p.arity + d - 1, d) - 1) // (q - 1)
+        work += forms
+        total += forms * (1 if homogeneous else q ** comb(p.arity + d - 1, p.arity))
 
     deadline = time.monotonic() + (inf if budget.time_limit is None else budget.time_limit)
-    lines = _filter_lines(p, q, deg)
-    restricted = np.array([r for _, _, r in lines], dtype=np.int64).reshape(-1, deg + 1)
-    tables = np.tile(np.arange(q) > 0, (len(lines), 1))  # degree 0: nonzero constants
-    for d, monos, lead_count in plans:
-        size = q ** (d + 1)  # bytes of one line's accept table
-        if size > _MAX_TABLE_BYTES:
-            return BudgetExceeded(
-                f"accept table of {size} bytes for degree {d} exceeds budget {_MAX_TABLE_BYTES}"
-            )
-        # as many lines as the budget holds; with none, one that passes everything
-        used = lines[: _MAX_TABLE_BYTES // size]
-        tables = _accept_tables(restricted[: len(used)], tables, d, q, deadline)
-        if tables is None:
-            return BudgetExceeded("time limit exceeded")
-        mats = [(_line_matrix(monos, c, vy, q, d), t) for (vy, c, _), t in zip(used, tables)]
-        mats = mats or [
-            (np.zeros((d + 1, len(monos)), dtype=np.int64), np.ones(size, dtype=bool))
-        ]
-        first, first_table = mats[0][0], mats[0][1].reshape((q,) * (d + 1))
-        powers = q ** np.arange(d + 1)
-        axes = tuple(range(d + 1))
-        codes_low = None
-        # blocks with the latest possible leading monomial come first
-        for lead in range(lead_count - 1, -1, -1):
-            t_len = len(monos) - 1 - lead
-            # chunks are aligned runs of q^low tails that share their high digits
-            low = 0
-            while low < t_len and q ** (low + 1) <= _CHUNK:
-                low += 1
-            high = t_len - low
-            places = q ** np.arange(t_len - 1, -1, -1)
-            later = [(m[:, lead + 1 :].T, m[:, lead], table) for m, table in mats[1:]]
-            high_cols = first[:, lead + 1 : lead + 1 + high]
-            # the low digits are those of the last monomials in every block,
-            # and low never falls from one block to the next
-            if low != codes_low:
-                codes, codes_low = _low_codes(first[:, len(monos) - low :], q), low
-            for start in range(0, q**t_len, q**low):
-                if time.monotonic() > deadline:
-                    return BudgetExceeded("time limit exceeded")
-                # the restriction of a tail is the high digits' shift plus
-                # its low pattern's code, so shift the table, not the codes
-                shift = (first[:, lead] + high_cols @ (start // places[:high] % q)) % q
-                shifted = np.roll(first_table, tuple(-shift[::-1]), axis=axes)
-                rows = np.flatnonzero(shifted.ravel()[codes])
-                tails = (start + rows)[:, None] // places % q
-                for tail_mat, base, table in later:
-                    tails = tails[table[(tails @ tail_mat + base) % q @ powers]]
-                for tail in tails:
-                    if time.monotonic() > deadline:
-                        return BudgetExceeded("time limit exceeded")
-                    cand = _candidate_polynomial(p.field, p.arity, monos, lead, tail)
-                    quotient = p.exact_divide(cand)
-                    if quotient is not None:
-                        return FactorFound(cand, quotient)
+    try:
+        _check_candidates(work, budget)
+        search = _Search(p, deadline)
+        # leading forms multiply, so a divisor's degree-d form divides p's
+        # leading form: an inhomogeneous p needs only the runs of those forms
+        leading = None if homogeneous else _Search(p.leading_homogeneous_component(), deadline)
+        for d in range(1, degree_cap + 1):
+            runs = None
+            if leading is not None:
+                runs = {}
+                for lead, index, _ in leading.divisors(d):
+                    runs.setdefault(lead, []).append(index)
+                work += sum(map(len, runs.values())) * q ** comb(p.arity + d - 1, p.arity)
+                _check_candidates(work, budget)
+            for _, _, found in search.divisors(d, runs):
+                return found
+    except _Refused as refused:
+        return BudgetExceeded(str(refused))
 
     if not exhaustive:
         return BudgetExceeded(

@@ -155,15 +155,17 @@ def test_criterion_3_differential_classification():
             omega_fired = reducible and verdict.rule.tag == "OmegaCase"
             assert omega_fired == (t == 3 and q % 3 == 1), (q, t)
             checked += 1
-    # m = 4, a = 0: the homogeneous search space, every t
-    for q in (3, 5, 7):
+    # every t: m = 4 with a = 0 (the homogeneous search space) and a = 1,
+    # and m = 3, a = 1 over the larger fields, all with the full search
+    rows = [(q, 4, a) for a in (0, 1) for q in (3, 5, 7)] + [(7, 3, 1), (13, 3, 1)]
+    for q, m, a in rows:
         field = prime_field(q)
         for t in range(q):
-            verdict = classify_g(GParams.of(field, 4, 0, t))
+            verdict = classify_g(GParams.of(field, m, a, t))
             outcome = brute_force_factor_search(verdict.input)
-            assert isinstance(outcome, (FactorFound, NoFactorFound)), (q, 4, t)
+            assert isinstance(outcome, (FactorFound, NoFactorFound)), (q, m, a, t)
             reducible = isinstance(verdict, FactorizationCertificate)
-            assert isinstance(outcome, FactorFound) == reducible, (q, 4, t)
+            assert isinstance(outcome, FactorFound) == reducible, (q, m, a, t)
             if reducible:
                 assert outcome.factor * outcome.quotient == verdict.input
             checked += 1

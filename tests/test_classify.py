@@ -218,6 +218,21 @@ class TestClassifyG:
         assert v.factors[0].polynomial.degree() == 1
         assert verify_certificate(v)
 
+    def test_char2_certificate_checked_mod_2(self):
+        v = classify_g(Char2GParams(5, 1, 2))
+        (linear,) = v.factors
+        x1 = Polynomial.variable(Q, 5, 0)
+
+        def with_factor(poly):
+            return dataclasses.replace(v, factors=(dataclasses.replace(linear, polynomial=poly),))
+
+        # x1's coefficient turned 2, which vanishes mod 2; a lift with no
+        # residue mod 2; the unit 3 is 1 mod 2, so the certificate stands
+        assert not verify_certificate(with_factor(linear.polynomial + x1))
+        assert not verify_certificate(with_factor(linear.polynomial.scale(Fraction(1, 2))))
+        assert verify_certificate(with_factor(linear.polynomial + x1.scale(2)))
+        assert verify_certificate(dataclasses.replace(v, unit=Q.from_int(3)))
+
     def test_char2_m_guard(self):
         with pytest.raises(ValueError):
             Char2GParams(2, 0, 0)

@@ -65,6 +65,14 @@ class TestClassifyCommand:
         assert code == EXIT_OK
         assert report["payload"]["verdict"] == "zero-polynomial"
 
+    def test_char2_certificate_at_large_m(self, capsys):
+        # (a + x_1 + ... + x_117)^4 has 8.5 M terms over Q; mod 2 it has 118
+        code, report = run_json(
+            capsys, "classify", "--field", "char2", "--m", "117", "--a", "1", "--t", "0"
+        )
+        assert code == EXIT_OK
+        assert report["payload"]["product_check"] is True
+
     def test_missing_arguments(self, capsys):
         code = main(["classify", "--field", "Q", "--m", "3"])
         assert code == EXIT_USAGE
@@ -167,8 +175,9 @@ class TestOracleCommand:
 
     def test_budget_exit_code(self, capsys):
         code, report = run_json(
-            capsys, "oracle", "--poly", "x^2+x*y+y^2+z^4", "--field", "13",
-            "--vars", "x,y,z",
+            # the degree-2 forms in four variables over F_13 alone are 13^9
+            capsys, "oracle", "--poly", "x^2+x*y+y^2+z^4+w^4", "--field", "13",
+            "--vars", "x,y,z,w",
         )
         assert code == EXIT_BUDGET
         assert report["payload"]["outcome"] == "budget-exceeded"
@@ -303,6 +312,22 @@ README_EXAMPLES = [
 def test_readme_example_report_pinned(capsys, argv, code, digest):
     got, out = run(capsys, *argv.split())
     assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of char2 reports up to m = 40; how the product check multiplies
+# must not show in them
+CHAR2_REPORTS = [
+    ("10", "1", "0", "928afdc523247a873d4ef820bc5f2d60c0203e6548f6ce6a81440b04f5091ade"),
+    ("40", "1", "0", "b170ebadc58a39be7618f3cd908120d5f8ff2a99c8442c5acd5f4a52a081b9ad"),
+    ("40", "0", "2", "5d0d9eebe40940349d840c1e381d975b65b7585e8439edcbd31826fab0685a15"),
+]
+
+
+@pytest.mark.parametrize("m, a, t, digest", CHAR2_REPORTS)
+def test_char2_report_pinned(capsys, m, a, t, digest):
+    got, out = run(capsys, "classify", "--field", "char2", "--m", m, "--a", a, "--t", t)
+    assert got == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -89,6 +89,17 @@ class TestBruteForceSearch:
         capped = brute_force_factor_search(build_f(F5, 3, 3), SearchBudget(max_degree=1))
         assert isinstance(capped, BudgetExceeded)  # linear space exhausted, not the full one
 
+    def test_candidate_budget_counts_leading_form_runs(self):
+        # over F_13 the forms of degree 1 and 2 number 183 + 402,234; the
+        # leading form (x^2 + y^2 + z^2)^2 has one quadratic divisor, whose
+        # run holds 13^4 candidates, and no linear one
+        p = build_g(GParams.of(prime_field(13), 3, 1, 0))
+        assert brute_force_factor_search(p, SearchBudget(max_candidates=430977)) == (
+            BudgetExceeded("candidate space of 430978 exceeds budget 430977")
+        )
+        outcome = brute_force_factor_search(p, SearchBudget(max_candidates=430978))
+        assert outcome.factor * outcome.factor == p
+
     def test_time_limit(self):
         outcome = brute_force_factor_search(
             build_g(GParams.of(F5, 3, 1, 1)), SearchBudget(time_limit=0.0)
@@ -123,8 +134,10 @@ class TestBruteForceSearch:
         monkeypatch.setattr(
             oracle, "time", SimpleNamespace(monotonic=lambda: 100.0 if divisions else 0.0)
         )
+        # t = 2: the leading form is the Heron product, so divisions run;
+        # for t = 1 the leading-form filter leaves none to run
         outcome = brute_force_factor_search(
-            build_g(GParams.of(F5, 3, 1, 1)), SearchBudget(time_limit=1.0)
+            build_g(GParams.of(F5, 3, 1, 2)), SearchBudget(time_limit=1.0)
         )
         assert outcome == BudgetExceeded("time limit exceeded")
         assert len(divisions) == 1
@@ -191,7 +204,9 @@ class TestBruteForceSearch:
 
     def test_work_counters_pinned(self, monkeypatch):
         # pinned on purpose: a change to the filter lines or the enumeration
-        # moves these counts, and should say why (the 2-line filter made 8,747)
+        # moves these counts, and should say why (the 2-line filter made
+        # 8,747 divisions on the m = 3 input; eight lines without
+        # leading-form runs made 151 there and 21,479 on the m = 4 input)
         divisions = []
         exact_divide = Polynomial.exact_divide
 
@@ -202,7 +217,11 @@ class TestBruteForceSearch:
         monkeypatch.setattr(Polynomial, "exact_divide", counting_divide)
         outcome = brute_force_factor_search(build_g(GParams.of(F3, 3, 1, 1)))
         assert outcome == NoFactorFound(29523)
-        assert len(divisions) == 151
+        assert len(divisions) == 6
+        divisions.clear()
+        outcome = brute_force_factor_search(build_g(GParams.of(F3, 4, 1, 2)))
+        assert outcome == NoFactorFound(7174452)
+        assert len(divisions) == 33
 
     def test_accept_tables_are_budgeted(self, small_arrays):
         # the candidate space (about 4 M) fits, and x^4 + y^4 has no linear
