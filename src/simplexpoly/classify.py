@@ -11,7 +11,7 @@ coefficients modulo 2 after every product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -46,12 +46,20 @@ class Factor:
 
 @dataclass(frozen=True)
 class FactorizationCertificate:
-    """unit * prod(factor^multiplicity) reconstructs the input exactly."""
+    """unit * prod(factor^multiplicity) reconstructs the input exactly.
+
+    ``product_check`` is the result of :func:`verify_certificate`, computed
+    once at construction; a ``dataclasses.replace`` copy is checked anew.
+    """
 
     input: Polynomial
     unit: FieldElement
     factors: Tuple[Factor, ...]
     rule: ClassificationRule
+    product_check: bool = dataclass_field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "product_check", verify_certificate(self))
 
 
 @dataclass(frozen=True)
@@ -113,9 +121,8 @@ def _mod_2(p: Polynomial) -> Optional[Polynomial]:
 def _product_mod_2(cert: FactorizationCertificate) -> Optional[Polynomial]:
     """unit * prod(factor^multiplicity) mod 2, reduced after every product.
 
-    Squaring mod 2 keeps only the squares of the terms, so the fourth power
-    of a linear form with m + 1 terms never holds more than (m + 1)^2 term
-    products, where the product over Q has C(m + 4, 4) terms.
+    Squares are taken term by term, so the fourth power of a linear form with
+    m + 1 terms has m + 1 terms, where the product over Q has C(m + 4, 4).
     """
     product = _mod_2(Polynomial.constant(cert.input.field, cert.input.arity, cert.unit))
     for f in cert.factors:
@@ -124,8 +131,9 @@ def _product_mod_2(cert: FactorizationCertificate) -> Optional[Polynomial]:
             if n % 2:
                 product = _mod_2(product * base)
             n //= 2
-            if n:
-                base = _mod_2(base * base)
+            if n:  # mod 2 the cross terms of a square vanish (Frobenius)
+                doubled = {tuple(2 * e for e in exps): c for exps, c in base.terms.items()}
+                base = Polynomial(base.field, base.arity, doubled)
     return product
 
 
@@ -155,7 +163,7 @@ def _certify(
             unit = unit * lc**mult
         normalized.append(Factor(poly, mult))
     cert = FactorizationCertificate(input_poly, unit, tuple(normalized), rule)
-    if not verify_certificate(cert):
+    if not cert.product_check:
         raise InternalCheckError(f"certificate product check failed for rule {rule.tag}")
     return cert
 
@@ -395,5 +403,5 @@ def verdict_to_json(
             }
             for f in verdict.factors
         ]
-        out["product_check"] = verify_certificate(verdict)
+        out["product_check"] = verdict.product_check
     return out

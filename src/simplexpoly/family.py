@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Callable, ClassVar, Dict, List, Tuple
 
 from .field import RATIONAL, FieldElement, FieldSpec
-from .poly import Monomial, Polynomial, _accumulate
+from .poly import Monomial, Polynomial
 
 
 class InternalCheckError(RuntimeError):
@@ -131,48 +131,71 @@ class CayleyMengerRing:
         return tuple(f"x{i}{j}" for i, j in self.pairs())
 
 
+# an edge entry as (coefficient, {position: exponent}) terms, integers only
+EdgeImage = List[Tuple[int, Dict[int, int]]]
+
+
 def _bordered_determinant(
-    field: FieldSpec, arity: int, n: int, edge: Callable[[int, int], Polynomial]
+    field: FieldSpec, arity: int, n: int, edge: Callable[[int, int], EdgeImage]
 ) -> Polynomial:
     """Determinant of the bordered (n+2)x(n+2) Cayley-Menger matrix.
 
     The matrix has zero diagonal, ones in row and column 0, and the squared
-    edge entry edge(i, j) at (i, j) and (j, i) for 1 <= i < j <= n+1, each a
-    polynomial in ``arity`` variables. It is expanded by memoized cofactor
-    (Laplace) expansion along the rows in order.
+    edge entry edge(i, j) at (i, j) and (j, i) for 1 <= i < j <= n+1, each
+    with integer coefficients in ``arity`` variables. It is expanded over Z
+    by memoized cofactor (Laplace) expansion along the rows in order. Each
+    monomial is packed into one int, 8 bits per variable, so a monomial
+    product is one integer addition. The result is mapped into the field at
+    the end, dropping the terms that vanish there.
     """
     CayleyMengerRing(n)  # refuses n outside 2..max_n
     size = n + 2
-    zero = Polynomial.zero(field, arity)
-    one = Polynomial.constant(field, arity, 1)
-    entries = [[zero if i == j else one for j in range(size)] for i in range(size)]
+    entries = [[{} if i == j else {0: 1} for j in range(size)] for i in range(size)]
+    top = 0
     for i in range(1, size):
         for j in range(i + 1, size):
-            entries[i][j] = entries[j][i] = edge(i, j)
+            image = edge(i, j)
+            top = max([top] + [sum(powers.values()) for _, powers in image])
+            entries[i][j] = entries[j][i] = {
+                sum(e << 8 * v for v, e in powers.items()): c for c, powers in image
+            }
+    # a minor's term is a product of at most n+1 edge entries; past 255 an
+    # exponent would carry into its neighbour's byte
+    if (n + 1) * top > 255:
+        raise ValueError(f"entries of degree {top} overflow the packed exponents at n={n}")
 
     # the rows of a minor are the last len(cols) rows, so its columns identify it
-    memo: Dict[Tuple[int, ...], Polynomial] = {}
+    memo: Dict[Tuple[int, ...], Dict[int, int]] = {}
 
-    def minor(cols: Tuple[int, ...]) -> Polynomial:
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
+    def minor(cols: Tuple[int, ...]) -> Dict[int, int]:
+        if cols in memo:
+            return memo[cols]
         r = size - len(cols)
         if len(cols) == 1:
             result = entries[r][cols[0]]
         else:
-            acc: Dict[Monomial, FieldElement] = {}
+            result = {}
+            get = result.get
             for pos, c in enumerate(cols):
-                e = entries[r][c]
-                if e.is_zero():
+                if not entries[r][c]:
                     continue
-                terms = (e * minor(cols[:pos] + cols[pos + 1 :])).terms.items()
-                _accumulate(acc, terms if pos % 2 == 0 else ((x, -k) for x, k in terms))
-            result = Polynomial(field, arity, acc)
+                sub = minor(cols[:pos] + cols[pos + 1 :])
+                for e1, c1 in entries[r][c].items():
+                    c1 = -c1 if pos % 2 else c1
+                    for e2, c2 in sub.items():
+                        result[e1 + e2] = get(e1 + e2, 0) + c1 * c2
+            result = {key: c for key, c in result.items() if c}
         memo[cols] = result
         return result
 
-    return minor(tuple(range(size)))
+    det = minor(tuple(range(size)))
+    images = {c: field.from_int(c) for c in set(det.values())}
+    terms = {
+        tuple(key.to_bytes(arity, "little")): images[c]
+        for key, c in det.items()
+        if not images[c].is_zero()
+    }
+    return Polynomial(field, arity, terms)
 
 
 def cayley_menger(n: int, field: FieldSpec = RATIONAL) -> Polynomial:
@@ -182,10 +205,7 @@ def cayley_menger(n: int, field: FieldSpec = RATIONAL) -> Polynomial:
     """
     ring = CayleyMengerRing(n)
     return _bordered_determinant(
-        field,
-        ring.arity,
-        n,
-        lambda i, j: Polynomial.variable(field, ring.arity, ring.position(i, j), 2),
+        field, ring.arity, n, lambda i, j: [(1, {ring.position(i, j): 2})]
     )
 
 
@@ -210,7 +230,7 @@ def prekite_reduction(n: int, field: FieldSpec = RATIONAL) -> Tuple[Polynomial, 
         field,
         target_arity,
         n,
-        lambda i, j: Polynomial.variable(field, target_arity, 0 if j <= n else i, 2),
+        lambda i, j: [(1, {0 if j <= n else i: 2})],
     )
     h = -build_f(field, target_arity, n)
 
@@ -240,17 +260,16 @@ def special_family_substitution(
     """
     arity = n + 1
 
-    def image(i: int, j: int) -> Polynomial:
-        xi = Polynomial.variable(field, arity, i - 1)
-        xj = Polynomial.variable(field, arity, j - 1)
+    def image(i: int, j: int) -> EdgeImage:
+        i, j = i - 1, j - 1
         if rule is SubstitutionRule.SUM:
-            return xi + xj
+            return [(1, {i: 1}), (1, {j: 1})]
         if rule is SubstitutionRule.PRODUCT:
-            return xi * xj
+            return [(1, {i: 1, j: 1})]
         if rule is SubstitutionRule.SUM_SQUARED:
-            return (xi + xj) ** 2
+            return [(1, {i: 2}), (2, {i: 1, j: 1}), (1, {j: 2})]
         if rule is SubstitutionRule.MIXED_QUADRATIC:
-            return xi**2 + xi * xj + xj**2
+            return [(1, {i: 2}), (1, {i: 1, j: 1}), (1, {j: 2})]
         raise ValueError(f"unknown substitution rule {rule!r}")
 
     return _bordered_determinant(field, arity, n, image)

@@ -127,9 +127,6 @@ class Polynomial:
     def coefficient(self, exps: Monomial) -> FieldElement:
         return self.terms.get(tuple(exps), self.field.zero())
 
-    def constant_term(self) -> FieldElement:
-        return self.coefficient((0,) * self.arity)
-
     def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
@@ -237,47 +234,6 @@ class Polynomial:
                     v = v * x**e
             total = total + v
         return total
-
-    def substitute(
-        self,
-        images: Mapping[int, "Polynomial"],
-        arity: Optional[int] = None,
-    ) -> "Polynomial":
-        """Ring map sending variable i to images[i].
-
-        Unmapped variables go to the same-position variable of the target
-        ring, whose arity defaults to this ring's. All images must live in
-        the target ring.
-        """
-        target_arity = self.arity if arity is None else arity
-        full: Dict[int, Polynomial] = {}
-        for i in range(self.arity):
-            img = images.get(i)
-            if img is None:
-                if i >= target_arity:
-                    raise ValueError(
-                        f"variable {i} has no image and no slot in target ring"
-                    )
-                img = Polynomial.variable(self.field, target_arity, i)
-            elif img.field != self.field or img.arity != target_arity:
-                raise ValueError("substitution image lives in the wrong ring")
-            full[i] = img
-        powers: Dict[Tuple[int, int], Polynomial] = {}
-
-        def power(i: int, e: int) -> Polynomial:
-            key = (i, e)
-            if key not in powers:
-                powers[key] = full[i] ** e
-            return powers[key]
-
-        acc: Dict[Monomial, FieldElement] = {}
-        for exps, c in self.terms.items():
-            term = Polynomial.constant(self.field, target_arity, c)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * power(i, e)
-            _accumulate(acc, term.terms.items())
-        return Polynomial(self.field, target_arity, acc)
 
     def permute_variables(self, perm: Sequence[int]) -> "Polynomial":
         """Apply the ring automorphism x_i -> x_perm[i]."""

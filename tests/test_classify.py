@@ -7,6 +7,8 @@ from random import Random
 
 import pytest
 
+from simplexpoly import classify
+from simplexpoly.cli import main
 from simplexpoly.field import CHAR2, CYCLOTOMIC, RATIONAL, prime_field
 from simplexpoly.poly import Polynomial, poly_to_text
 from simplexpoly.family import GParams, cayley_menger
@@ -53,7 +55,7 @@ class TestFactorQuadratic:
     def test_split_over_f7(self):
         v = factor_quadratic(F7.one(), F7.zero(), F7.from_int(-2))
         assert isinstance(v, FactorizationCertificate)
-        roots = sorted((-f.polynomial.constant_term()).value for f in v.factors)
+        roots = sorted((-f.polynomial.coefficient((0,))).value for f in v.factors)
         assert roots == [3, 4]
         assert verify_certificate(v)
 
@@ -62,7 +64,7 @@ class TestFactorQuadratic:
         v = factor_quadratic(Q.from_int(2), Q.from_int(-1), Q.from_int(-1))
         assert isinstance(v, FactorizationCertificate)
         assert v.unit == Q.from_int(2)
-        roots = sorted((-f.polynomial.constant_term()).value for f in v.factors)
+        roots = sorted((-f.polynomial.coefficient((0,))).value for f in v.factors)
         assert roots == [Fraction(-1, 2), Fraction(1)]
 
     def test_degenerate_leading_coefficient(self):
@@ -233,6 +235,21 @@ class TestClassifyG:
         assert verify_certificate(with_factor(linear.polynomial + x1.scale(2)))
         assert verify_certificate(dataclasses.replace(v, unit=Q.from_int(3)))
 
+    def test_char2_check_squares_term_by_term(self, monkeypatch):
+        # mod 2 a square has no cross terms, so no product of two
+        # multi-term polynomials is needed to check (a + x_1 + ... + x_m)^4
+        sizes = []
+        mul = Polynomial.__mul__
+
+        def recorded(self, other):
+            sizes.append((len(self.terms), len(other.terms)))
+            return mul(self, other)
+
+        monkeypatch.setattr(Polynomial, "__mul__", recorded)
+        v = classify_g(Char2GParams(200, 1, 0))
+        assert v.product_check
+        assert sizes and not [s for s in sizes if min(s) > 1]
+
     def test_char2_m_guard(self):
         with pytest.raises(ValueError):
             Char2GParams(2, 0, 0)
@@ -362,3 +379,27 @@ def test_quadratic_reports_pinned(kind, name, digest):
     # a change that alters one of these reports must update its pin on purpose
     text = _quadratic_reports(kind, name)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestCheckOnce:
+    def test_one_product_check_per_command(self, monkeypatch, capsys):
+        calls = []
+        check = classify.verify_certificate
+
+        def counted(cert):
+            calls.append(cert)
+            return check(cert)
+
+        monkeypatch.setattr(classify, "verify_certificate", counted)
+        assert main(["classify", "--field", "Q", "--m", "40", "--a", "1", "--t", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["payload"]["product_check"] is True
+        assert len(calls) == 1
+
+    def test_replaced_certificate_is_checked_anew(self):
+        v = classify_g(GParams.of(Q, 3, 0, 2))
+        assert v.product_check and verdict_to_json(v)["product_check"] is True
+        bad = dataclasses.replace(v, unit=Q.from_int(2))
+        assert bad.product_check is False
+        assert verdict_to_json(bad)["product_check"] is False
+        # the check is not part of a certificate's identity
+        assert dataclasses.replace(bad, unit=v.unit) == v

@@ -20,7 +20,7 @@ from simplexpoly.family import (
     special_family_substitution,
 )
 
-from conftest import random_element
+from conftest import random_element, reference_bordered_determinant, substitute
 
 Q = RATIONAL
 
@@ -270,8 +270,8 @@ class TestSpecialSubstitution:
     def test_zero_vertices_match_zero_edges(self, rule):
         p = special_family_substitution(2, rule)
         zeros = {i: Polynomial.zero(Q, 3) for i in range(3)}
-        m0 = cayley_menger(2).substitute(zeros)
-        assert p.substitute(zeros) == m0
+        m0 = substitute(cayley_menger(2), zeros)
+        assert substitute(p, zeros) == m0
 
     def test_sum_rule_halves_degree(self):
         p = special_family_substitution(2, SubstitutionRule.SUM)
@@ -310,7 +310,7 @@ class TestSubstitutedDeterminant:
                 images = {
                     ring.position(i, j): image(xs[i - 1], xs[j - 1]) for i, j in ring.pairs()
                 }
-                expected = halved.substitute(images, n + 1)
+                expected = substitute(halved, images, n + 1)
                 assert special_family_substitution(n, rule, field) == expected, (n, rule)
 
     def test_prekite(self, field):
@@ -321,4 +321,55 @@ class TestSubstitutedDeterminant:
                 ring.position(i, j): x if j <= n else ys[i - 1] for i, j in ring.pairs()
             }
             m_star, _ = prekite_reduction(n, field)
-            assert m_star == cayley_menger(n, field).substitute(images, n + 1), n
+            assert m_star == substitute(cayley_menger(n, field), images, n + 1), n
+
+
+KERNEL_FIELDS = [Q, CYCLOTOMIC, prime_field(3), prime_field(5), prime_field(7), prime_field(101)]
+
+
+def reference_families(field, n):
+    """(name, determinant, edge images as Polynomials) for every family at n."""
+    ring = CayleyMengerRing(n)
+    edges = {(i, j): Polynomial.variable(field, ring.arity, ring.position(i, j), 2)
+             for i, j in ring.pairs()}
+    yield "cayley-menger", lambda: cayley_menger(n, field), ring.arity, edges
+    xs = variables(field, n + 1)
+    if n >= 3:
+        kite = {(i, j): xs[0 if j <= n else i] ** 2 for i, j in ring.pairs()}
+        yield "prekite", lambda: prekite_reduction(n, field)[0], n + 1, kite
+    for rule, image in RULE_IMAGES.items():
+        edges = {(i, j): image(xs[i - 1], xs[j - 1]) for i, j in ring.pairs()}
+        yield rule.value, lambda: special_family_substitution(n, rule, field), n + 1, edges
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_kernel_matches_reference_expansion(field, n):
+    """The packed integer expansion equals a cofactor expansion in field arithmetic."""
+    for name, build, arity, edges in reference_families(field, n):
+        expected = reference_bordered_determinant(field, arity, n, lambda i, j: edges[i, j])
+        assert build().terms == expected.terms, (name, n)
+
+
+def test_kernel_drops_coefficients_that_vanish_in_the_field():
+    # over Z these determinants have coefficients divisible by 3
+    f3 = prime_field(3)
+    assert special_family_substitution(4, SubstitutionRule.MIXED_QUADRATIC, f3).is_zero()
+    assert not special_family_substitution(4, SubstitutionRule.MIXED_QUADRATIC, Q).is_zero()
+    for build in (
+        lambda f: special_family_substitution(4, SubstitutionRule.PRODUCT, f),
+        lambda f: prekite_reduction(4, f)[0],
+    ):
+        assert (len(build(Q).terms), len(build(f3).terms)) == (15, 10)
+
+
+def test_kernel_refuses_exponents_past_one_byte():
+    # a minor multiplies up to n+1 entries: (2+1) * 85 = 255 still fits a
+    # byte; past it x1's exponent would carry into x2's byte unnoticed
+    x = Polynomial.variable(Q, 2, 0)
+    for degree in (1, 85):
+        got = family._bordered_determinant(Q, 2, 2, lambda i, j: [(1, {0: degree})])
+        assert got == reference_bordered_determinant(Q, 2, 2, lambda i, j: x**degree)
+    for degree in (86, 200):
+        with pytest.raises(ValueError, match="overflow"):
+            family._bordered_determinant(Q, 2, 2, lambda i, j: [(1, {0: degree})])
