@@ -22,6 +22,7 @@ from .family import (
     build_f,
     build_g,
     cayley_menger,
+    discriminant_check,
     prekite_reduction,
     special_family_substitution,
 )
@@ -43,7 +44,6 @@ from .oracle import (
     NoFactorFound,
     SearchBudget,
     brute_force_factor_search,
-    discriminant_check,
 )
 from .geometry import (
     DistanceTuple,
@@ -72,6 +72,7 @@ __all__ = [
     "build_f",
     "build_g",
     "cayley_menger",
+    "discriminant_check",
     "prekite_reduction",
     "special_family_substitution",
     "Char2GParams",
@@ -89,7 +90,6 @@ __all__ = [
     "NoFactorFound",
     "SearchBudget",
     "brute_force_factor_search",
-    "discriminant_check",
     "DistanceTuple",
     "RegularSimplex",
     "regular_simplex",

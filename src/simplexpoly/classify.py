@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .field import (
@@ -142,10 +144,10 @@ def verify_certificate(cert: FactorizationCertificate) -> bool:
     if cert.rule.conditions.get("char") == "2":
         product = _product_mod_2(cert)
         return product is not None and product == _mod_2(cert.input)
-    product = Polynomial.constant(cert.input.field, cert.input.arity, cert.unit)
-    for f in cert.factors:
-        product = product * f.polynomial**f.multiplicity
-    return product == cert.input
+    if not cert.factors:
+        return Polynomial.constant(cert.input.field, cert.input.arity, cert.unit) == cert.input
+    product = reduce(mul, (f.polynomial**f.multiplicity for f in cert.factors))
+    return product.scale(cert.unit) == cert.input
 
 
 def _certify(

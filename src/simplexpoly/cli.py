@@ -111,7 +111,7 @@ def _poly_payload(p: Polynomial, names: Sequence[str]) -> Dict[str, object]:
         "polynomial": poly_to_text(p, names),
         "term_count": len(p.terms),
         "terms": [
-            {"monomial": list(e), "coefficient": str(c)}
+            {"monomial": e, "coefficient": str(c)}
             for e, c in sorted(p.terms.items(), reverse=True)
         ],
     }

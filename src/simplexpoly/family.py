@@ -87,6 +87,49 @@ def build_f(field: FieldSpec, m: int, t) -> Polynomial:
     return build_g(GParams.of(field, m, 0, t))
 
 
+def discriminant_check(field: FieldSpec, m: int, t) -> bool:
+    """Verify the closed-form discriminant of the two-variable reduction.
+
+    Rewrites the homogeneous quartic in the last two variables as a quadratic
+    in v (with u, v their elementary symmetric functions), computes its
+    discriminant symbolically, and compares it with
+    8t((t-1)u^4 - 2 S2 u^2 + (2-t) S4 + S2^2) exactly, where S2, S4 are the
+    power sums of the remaining variables.
+    """
+    if field.characteristic() == 2:
+        raise ValueError("discriminant identity requires characteristic != 2")
+    if m < 3:
+        raise ValueError(f"need m >= 3, got {m}")
+    t = field.coerce(t)
+    if t.is_zero() or t == field.from_int(2):
+        raise ValueError("discriminant identity requires t not in {0, 2}")
+
+    f = build_f(field, m, t)
+    reduced = f.symmetric_reduce(m - 2, m - 1)
+    assert reduced is not None  # f is symmetric in every variable pair
+    v_pos = m - 1
+
+    coeffs = {0: {}, 1: {}, 2: {}}
+    for exps, c in reduced.terms.items():
+        e = exps[v_pos]
+        if e > 2:
+            return False
+        stripped = list(exps)
+        stripped[v_pos] = 0
+        coeffs[e][tuple(stripped)] = c
+    a0, a1, a2 = (Polynomial(field, m, coeffs[e]) for e in range(3))
+    disc = a1 * a1 - a2 * a0 * 4
+
+    u = Polynomial.variable(field, m, m - 2)
+    rest = [1] * (m - 2) + [0, 0]
+    s2 = Polynomial.diagonal(field, 0, rest, 2)
+    s4 = Polynomial.diagonal(field, 0, rest, 4)
+    expected = (
+        u**4 * (t - field.one()) - s2 * u**2 * 2 + s4.scale(field.from_int(2) - t) + s2**2
+    ).scale(t * 8)
+    return disc == expected
+
+
 # -- Cayley-Menger -------------------------------------------------------------
 
 

@@ -23,11 +23,14 @@ RATIONAL_KIND = "rational"
 PRIME_KIND = "prime"
 CYCLOTOMIC_KIND = "cyclotomic"
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to every base above (J. Sorenson and
+# J. Webster, Math. Comp. 86, 2017): prime moduli must lie below it
+_MODULUS_LIMIT = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every n below 3.3e24."""
+    """Deterministic Miller-Rabin, exact for every n below _MODULUS_LIMIT."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -80,9 +83,10 @@ class FieldSpec:
         if self.kind not in (RATIONAL_KIND, PRIME_KIND, CYCLOTOMIC_KIND):
             raise ValueError(f"unknown field kind {self.kind!r}")
         if self.kind == PRIME_KIND:
-            if self.p is None or self.p < 3 or not _is_prime(self.p):
+            if self.p is None or not 3 <= self.p < _MODULUS_LIMIT or not _is_prime(self.p):
                 raise ValueError(
-                    f"prime field requires an odd prime modulus, got {self.p!r}"
+                    f"prime field requires an odd prime modulus below {_MODULUS_LIMIT}, "
+                    f"got {self.p!r}"
                 )
         elif self.p is not None:
             raise ValueError(f"{self.kind} field takes no modulus")

@@ -1,4 +1,4 @@
-"""Independent verification machinery for the classifier.
+"""Brute-force factor search over small prime fields.
 
 ``brute_force_factor_search`` decides reducibility over a small prime field
 by exhaustively trial-dividing every monic candidate divisor up to half the
@@ -38,7 +38,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .field import PRIME_KIND, FieldElement, FieldSpec
-from .family import build_f
 from .poly import Monomial, Polynomial, grlex_key
 
 _CHUNK = 1 << 18  # most tails one filter step holds
@@ -265,6 +264,16 @@ def _check_candidates(work: int, budget: SearchBudget) -> None:
         raise _Refused(f"candidate space of {work} exceeds budget {budget.max_candidates}")
 
 
+def _check_table(q: int, d: int) -> int:
+    """Bytes of one line's accept table for degree d, refused past the budget."""
+    size = q ** (d + 1)
+    if size > _MAX_TABLE_BYTES:
+        raise _Refused(
+            f"accept table of {size} bytes for degree {d} exceeds budget {_MAX_TABLE_BYTES}"
+        )
+    return size
+
+
 class _Search:
     """The filtered trial division of one input, one candidate degree at a time.
 
@@ -295,11 +304,7 @@ class _Search:
         r. A run is therefore the tails of one degree-d leading form.
         """
         p, q = self.p, self.q
-        size = q ** (d + 1)  # bytes of one line's accept table
-        if size > _MAX_TABLE_BYTES:
-            raise _Refused(
-                f"accept table of {size} bytes for degree {d} exceeds budget {_MAX_TABLE_BYTES}"
-            )
+        size = _check_table(q, d)
         # as many lines as the budget holds; with none, one that passes everything
         used = self.lines[: _MAX_TABLE_BYTES // size]
         tables = _accept_tables(self.restricted[: len(used)], self.tables, d, q, self.deadline)
@@ -388,10 +393,13 @@ def brute_force_factor_search(
     deadline = time.monotonic() + (inf if budget.time_limit is None else budget.time_limit)
     try:
         _check_candidates(work, budget)
-        search = _Search(p, deadline)
-        # leading forms multiply, so a divisor's degree-d form divides p's
-        # leading form: an inhomogeneous p needs only the runs of those forms
-        leading = None if homogeneous else _Search(p.leading_homogeneous_component(), deadline)
+        if degree_cap:
+            # refused before the filter lines, whose power table has q rows
+            _check_table(q, 1)
+            search = _Search(p, deadline)
+            # leading forms multiply, so a divisor's degree-d form divides p's
+            # leading form: an inhomogeneous p needs only the runs of those forms
+            leading = None if homogeneous else _Search(p.leading_homogeneous_component(), deadline)
         for d in range(1, degree_cap + 1):
             runs = None
             if leading is not None:
@@ -411,55 +419,3 @@ def brute_force_factor_search(
         )
     # every block ran to its end, so all total candidates were ruled out
     return NoFactorFound(total)
-
-
-# -- symbolic discriminant identity ------------------------------------------------
-
-
-def discriminant_check(field: FieldSpec, m: int, t) -> bool:
-    """Verify the closed-form discriminant of the two-variable reduction.
-
-    Rewrites the homogeneous quartic in the last two variables as a quadratic
-    in v (with u, v their elementary symmetric functions), computes its
-    discriminant symbolically, and compares it with
-    8t((t-1)u^4 - 2 S2 u^2 + (2-t) S4 + S2^2) exactly, where S2, S4 are the
-    power sums of the remaining variables.
-    """
-    if field.characteristic() == 2:
-        raise ValueError("discriminant identity requires characteristic != 2")
-    if m < 3:
-        raise ValueError(f"need m >= 3, got {m}")
-    t = field.coerce(t)
-    if t.is_zero() or t == field.from_int(2):
-        raise ValueError("discriminant identity requires t not in {0, 2}")
-
-    f = build_f(field, m, t)
-    reduced = f.symmetric_reduce(m - 2, m - 1)
-    assert reduced is not None  # f is symmetric in every variable pair
-    v_pos = m - 1
-
-    coeffs = {0: {}, 1: {}, 2: {}}
-    for exps, c in reduced.terms.items():
-        e = exps[v_pos]
-        if e > 2:
-            return False
-        stripped = list(exps)
-        stripped[v_pos] = 0
-        coeffs[e][tuple(stripped)] = c
-    a2 = Polynomial(field, m, coeffs[2])
-    a1 = Polynomial(field, m, coeffs[1])
-    a0 = Polynomial(field, m, coeffs[0])
-    disc = a1 * a1 - a2 * a0 * 4
-
-    u = Polynomial.variable(field, m, m - 2)
-    rest = [1] * (m - 2) + [0, 0]
-    s2 = Polynomial.diagonal(field, 0, rest, 2)
-    s4 = Polynomial.diagonal(field, 0, rest, 4)
-    one = field.one()
-    expected = (
-        u**4 * (t - one)
-        - s2 * u**2 * 2
-        + s4.scale(field.from_int(2) - t)
-        + s2**2
-    ).scale(t * 8)
-    return disc == expected

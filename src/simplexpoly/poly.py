@@ -179,6 +179,8 @@ class Polynomial:
 
     def scale(self, c) -> "Polynomial":
         c = self.field.coerce(c)
+        if c.is_one():
+            return self
         if c.is_zero():
             return Polynomial.zero(self.field, self.arity)
         return Polynomial(
@@ -189,19 +191,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check_ring(other)
-        if len(self.terms) > len(other.terms):
-            self, other = other, self
-        if len(self.terms) == 1:
-            # a monomial shifts the other operand's terms, which stay distinct
-            # and nonzero, so nothing needs accumulating or pruning
-            ((shift, c),) = self.terms.items()
-            if not c.is_one():
-                terms = {tuple(map(add, shift, e)): c * k for e, k in other.terms.items()}
-            elif any(shift):
-                terms = {tuple(map(add, shift, e)): k for e, k in other.terms.items()}
-            else:
-                return other
-            return Polynomial(self.field, self.arity, terms)
         acc = _accumulate(
             {},
             (

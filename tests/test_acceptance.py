@@ -30,12 +30,12 @@ from simplexpoly.classify import (
     classify_g,
     verify_certificate,
 )
+from simplexpoly import discriminant_check
 from simplexpoly.oracle import (
     FactorFound,
     NoFactorFound,
     SearchBudget,
     brute_force_factor_search,
-    discriminant_check,
 )
 from simplexpoly.geometry import (
     random_affine_weights,

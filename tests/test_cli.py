@@ -81,6 +81,14 @@ class TestClassifyCommand:
         code = main(["classify", "--field", "F4", "--m", "3", "--a", "0", "--t", "2"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("field", ["Fx", "318665857834031151167461"])
+    def test_unparsable_or_composite_field(self, capsys, field):
+        code = main(["classify", "--field", field, "--m", "3", "--a", "0", "--t", "2"])
+        assert code == EXIT_USAGE
+
+    def test_cayley_menger_requires_n(self, capsys):
+        assert main(["classify", "--field", "Q", "--cayley-menger"]) == EXIT_USAGE
+
 
 class Reached(Exception):
     """Raised by a stub that the command reaches only past its size checks."""
@@ -163,6 +171,25 @@ class TestConstructCommand:
         )
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "g", "--a", "1", "--t", "2"],
+            ["--family", "g", "--m", "3", "--a", "1"],
+            ["--family", "g", "--m", "3", "--t", "2"],
+            ["--family", "f", "--t", "2"],
+            ["--family", "f", "--m", "3"],
+            ["--family", "cayley-menger"],
+            ["--family", "prekite"],
+            ["--family", "special", "--rule", "sum"],
+            ["--family", "special", "--n", "3"],
+            ["--family", "g", "--field", "char2", "--m", "3", "--a", "1", "--t", "2"],
+        ],
+    )
+    def test_missing_option_or_char2_is_usage_error(self, capsys, argv):
+        assert main(["construct", *argv]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
 
 class TestOracleCommand:
     def test_factor_found(self, capsys):
@@ -212,6 +239,10 @@ class TestOracleCommand:
         assert code == EXIT_OK
         assert report["payload"]["outcome"] == "no-factor-found"
 
+    def test_empty_vars_is_usage_error(self, capsys):
+        argv = ["oracle", "--poly", "x+1", "--field", "5", "--vars", ""]
+        assert main(argv) == EXIT_USAGE
+
 
 class TestGeometryCommand:
     def test_verify_seed_determinism(self, capsys):
@@ -252,6 +283,14 @@ class TestDiophantineCommand:
         assert code == EXIT_OK
         assert report["payload"]["solutions"] == [[0, 1, 1, 1], [3, 5, 7, 8]]
         assert all(report["payload"]["primitive"])
+
+    def test_realizability_report_per_solution(self, capsys):
+        code, report = run_json(
+            capsys, "diophantine", "--bound", "20", "--report-realizability"
+        )
+        assert code == EXIT_OK
+        payload = report["payload"]
+        assert [r["values"] for r in payload["realizability"]] == payload["solutions"]
 
 
 class TestRemovedOptions:

@@ -33,6 +33,21 @@ class TestFieldSpec:
     def test_char_three_allowed(self):
         assert prime_field(3).characteristic() == 3
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            318665857834031151167461,  # psi_12 = 399165290221 * 798330580441
+            3317044064679887385961981,  # psi_13, a strong pseudoprime to bases 2..41
+        ],
+    )
+    def test_strong_pseudoprimes_rejected(self, p):
+        with pytest.raises(ValueError):
+            prime_field(p)
+
+    def test_largest_moduli_accepted(self):
+        p = 3317044064679887385961813  # a prime just below psi_13
+        assert prime_field(p).characteristic() == p
+
 
 class TestArithmetic:
     def test_rational_add(self):

@@ -45,6 +45,17 @@ class TestRegularSimplex:
         with pytest.raises(ValueError):
             regular_simplex(n, a)
 
+    def test_vertices_checked(self):
+        from simplexpoly.geometry import RegularSimplex
+
+        vertices = regular_simplex(3, 1.0).vertices
+        with pytest.raises(ValueError):
+            RegularSimplex(3, 1.0, vertices[:, :3])
+        moved = vertices.copy()
+        moved[3] *= 2  # vertex 3 moves away from the other three
+        with pytest.raises(ValueError):
+            RegularSimplex(3, 1.0, moved)
+
 
 class TestRelationResidual:
     def test_at_a_vertex(self):

@@ -10,13 +10,13 @@ from simplexpoly.field import RATIONAL, prime_field
 from simplexpoly.poly import Polynomial, grlex_key, parse_polynomial, poly_to_text
 from simplexpoly.family import GParams, build_f, build_g, prekite_reduction
 from simplexpoly.classify import FactorizationCertificate, classify_g
+from simplexpoly import discriminant_check
 from simplexpoly.oracle import (
     BudgetExceeded,
     FactorFound,
     NoFactorFound,
     SearchBudget,
     brute_force_factor_search,
-    discriminant_check,
 )
 
 from conftest import random_polynomial
@@ -257,6 +257,16 @@ class TestBruteForceSearch:
         assert 13**6 <= oracle._MAX_TABLE_BYTES < oracle._LINES * 13**6
         outcome = brute_force_factor_search(f * g, SearchBudget(homogeneous_only=True))
         assert outcome == FactorFound(g, f)
+
+    def test_table_budget_checked_before_filter_lines(self, small_arrays):
+        # the filter lines' power table has q rows: over F_1000003 it alone
+        # would exceed the array guard, so the refusal has to come first
+        q = 1000003
+        p = parse_polynomial("x^2+y^2", prime_field(q), 2, ["x", "y"])
+        outcome = brute_force_factor_search(p, SearchBudget(max_field_size=q))
+        assert outcome == BudgetExceeded(
+            f"accept table of {q**2} bytes for degree 1 exceeds budget 8388608"
+        )
 
 
 def _reference_search(p: Polynomial):

@@ -350,6 +350,11 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             poly_to_text(Polynomial.zero(CYCLOTOMIC, 1), ["w"])
 
+    @pytest.mark.parametrize("text", ["", "x+", "(x", "x)", "x**y"])
+    def test_malformed_text_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_polynomial(text, Q, 2, ["x", "y"])
+
     def test_roundtrip_random(self, any_field):
         rng = Random(23)
         names = ["alpha", "b2", "c"]
