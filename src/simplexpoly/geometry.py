@@ -36,11 +36,14 @@ class RegularSimplex:
         v = self.vertices
         if v.shape != (self.n + 1, self.n + 1):
             raise ValueError("expected n+1 vertices in R^{n+1}")
-        for i in range(self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                d = float(np.linalg.norm(v[i] - v[j]))
-                if abs(d - self.edge) > _REL_TOL * self.edge:
-                    raise ValueError(f"vertices {i}, {j} are {d} apart, not {self.edge}")
+        # one vertex row at a time: an all-pairs difference array holds ~n^3 floats
+        for i in range(self.n):
+            d = np.linalg.norm(v[i + 1 :] - v[i], axis=1)
+            bad = np.flatnonzero(np.abs(d - self.edge) > _REL_TOL * self.edge)
+            if bad.size:
+                j = int(bad[0])
+                d_ij = float(d[j])
+                raise ValueError(f"vertices {i}, {i + 1 + j} are {d_ij} apart, not {self.edge}")
         if np.linalg.matrix_rank(v[1:] - v[0], tol=1e-9 * self.edge) != self.n:
             raise ValueError("vertices do not span an n-dimensional affine hull")
 

@@ -270,10 +270,10 @@ class TestDiophantineCommand:
         assert [3, 5, 7, 8] in report["payload"]["solutions"]
 
     def test_bound_out_of_range_is_usage_error(self, monkeypatch, capsys):
-        def no_scan(w, bound):
+        def no_scan(bound):
             raise AssertionError("a refused bound must not start the scan")
 
-        monkeypatch.setattr(diophantine, "_square_discriminant_pairs", no_scan)
+        monkeypatch.setattr(diophantine, "_row_steps", no_scan)
         for bound in (0, diophantine._MAX_BOUND + 1):
             assert main(["diophantine", "--bound", str(bound)]) == EXIT_USAGE
             assert capsys.readouterr().err.startswith("usage error")

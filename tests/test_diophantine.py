@@ -1,5 +1,8 @@
+import hashlib
+import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -48,7 +51,7 @@ def _is_square(n):
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
-def _no_scan(w, bound):
+def _no_scan(bound):
     raise AssertionError("a refused bound must not start the scan")
 
 
@@ -129,31 +132,72 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("step", [diophantine._STEP, 37])
     def test_matches_scalar_reference(self, monkeypatch, reference, step):
-        # with 37-pair steps, rows of up to 151 pairs span several steps
+        # with 37-triple steps, rows of up to 76 triples are steps alone and
+        # short rows share steps across values of w
         monkeypatch.setattr(diophantine, "_STEP", step)
         for bound, expected in reference.items():
             assert enumerate_solutions(bound) == expected, bound
 
+    @pytest.mark.parametrize("step", [1, 2, 37])
+    def test_steps_hold_whole_rows(self, monkeypatch, step):
+        monkeypatch.setattr(diophantine, "_STEP", step)
+        for bound in (1, 2, 17, 60):
+            rows = []
+            for w, x, n in diophantine._row_steps(bound):
+                assert n.sum() <= step or len(n) == 1
+                rows += zip(w.tolist(), x.tolist(), n.tolist())
+            # row (w, x) holds y = x .. min(bound, w + x)
+            assert rows == [
+                (w, x, min(bound, w + x) - x + 1)
+                for w in range(bound + 1)
+                for x in range(w, bound + 1)
+            ]
+
+    @given(st.lists(st.integers(0, 10**6), min_size=3, max_size=3))
+    def test_negative_discriminant_exactly_past_the_triangle(self, sides):
+        # why rows stop at y = w + x: past it the discriminant has no root
+        w, x, y = sorted(sides)
+        c = w * w + x * x + y * y
+        d = w**4 + x**4 + y**4
+        assert (c * c - 2 * d < 0) == (y > w + x)
+
     def test_filter_is_exact_at_the_largest_bound(self):
-        # the largest discriminants, up to 9 * bound^4, still fit in int64
+        # the largest discriminants, up to 9 * bound^4, have exact int64 values
+        # and float roots; the scalar scan runs y past w + x, so this also
+        # checks that the rows' cut at y = w + x loses no square
         bound = diophantine._MAX_BOUND
         w = bound - 100
-        exact = [
-            (x, y)
-            for x in range(w, bound + 1)
-            for y in range(x, bound + 1)
-            if _is_square(3 * ((w * w + x * x + y * y) ** 2 - 2 * (w**4 + x**4 + y**4)))
-        ]
-        assert sorted(diophantine._square_discriminant_pairs(w, bound)) == exact
+        exact = []
+        for x in range(w, bound + 1):
+            for y in range(x, bound + 1):
+                c = w * w + x * x + y * y
+                disc = 3 * (c * c - 2 * (w**4 + x**4 + y**4))
+                if _is_square(disc):
+                    exact.append((x, y, c, math.isqrt(disc)))
+        w_rows, x_rows, n_rows = (np.concatenate(p) for p in zip(*diophantine._row_steps(bound)))
+        mine = w_rows == w
+        got = diophantine._square_triples(w_rows[mine], x_rows[mine], n_rows[mine])
+        assert got[0].tolist() == [w] * len(exact)
+        assert sorted(zip(*(v.tolist() for v in got[1:]))) == exact
+
+    def test_pinned_bound_400(self):
+        # recorded from the scan over every (w, x, y) before the triangle cut
+        solutions = enumerate_solutions(400)
+        assert len(solutions) == 621
+        assert sum(s.primitive for s in solutions) == 57
+        text = json.dumps([[list(s.values), s.primitive] for s in solutions])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9e397fa9fd5a1bedff4ab9a140faf046595d8fa874e441ae32890a4b426492ae"
+        )
 
     def test_bad_bound(self, monkeypatch):
-        monkeypatch.setattr(diophantine, "_square_discriminant_pairs", _no_scan)
+        monkeypatch.setattr(diophantine, "_row_steps", _no_scan)
         for bound in (0, diophantine._MAX_BOUND + 1):
             with pytest.raises(ValueError):
                 enumerate_solutions(bound)
 
     def test_largest_bound_accepted(self, monkeypatch):
-        monkeypatch.setattr(diophantine, "_square_discriminant_pairs", lambda w, bound: iter(()))
+        monkeypatch.setattr(diophantine, "_row_steps", lambda bound: iter(()))
         assert enumerate_solutions(diophantine._MAX_BOUND) == []
 
 
