@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 search or size budget exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -47,7 +48,7 @@ from .oracle import (
     SearchBudget,
     brute_force_factor_search,
 )
-from .poly import Polynomial, default_names, parse_polynomial, poly_to_text
+from .poly import Polynomial, coefficient_texts, default_names, parse_polynomial, poly_to_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -104,6 +105,7 @@ def parse_field(text: str) -> Union[FieldSpec, Char2Token]:
 
 
 def _poly_payload(p: Polynomial, names: Sequence[str]) -> Dict[str, object]:
+    coefficient = coefficient_texts(str)
     return {
         "field": repr(p.field),
         "arity": p.arity,
@@ -111,7 +113,7 @@ def _poly_payload(p: Polynomial, names: Sequence[str]) -> Dict[str, object]:
         "polynomial": poly_to_text(p, names),
         "term_count": len(p.terms),
         "terms": [
-            {"monomial": e, "coefficient": str(c)}
+            {"monomial": e, "coefficient": coefficient(c)}
             for e, c in sorted(p.terms.items(), reverse=True)
         ],
     }
@@ -299,6 +301,7 @@ def _emit(args: argparse.Namespace, payload: Dict[str, object], code: int = EXIT
 # -- wiring ------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def build_parser() -> _Parser:
     # the output flags go on the leaf parsers only: a subparser's defaults
     # would overwrite the value of the same flag given before its name
@@ -359,10 +362,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     started = time.monotonic()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         args._started = started
         return args.func(args)
     except UsageError as exc:

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field as dataclass_field
 from itertools import compress
 from operator import add
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple, TypeVar
 
 from .field import (
     CYCLOTOMIC_KIND,
@@ -28,6 +28,7 @@ from .field import (
 )
 
 Monomial = Tuple[int, ...]
+T = TypeVar("T")
 
 
 def grlex_key(exps: Monomial) -> tuple:
@@ -318,21 +319,6 @@ class Polynomial:
 _FACTOR = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?$")
 
 
-def _coeff_text(c: FieldElement) -> Tuple[bool, str]:
-    """(negative?, magnitude text); wraps mixed Q(w) coefficients in parens."""
-    if c.spec.kind == CYCLOTOMIC_KIND:
-        r, s = c.value
-        if r != 0 and s != 0:
-            return False, f"({element_to_text(c)})"
-        if r < 0 or (r == 0 and s < 0):
-            return True, element_to_text(-c)
-        return False, element_to_text(c)
-    text = element_to_text(c)
-    if text.startswith("-"):
-        return True, text[1:]
-    return False, text
-
-
 def _checked_names(
     field: FieldSpec, arity: int, names: Optional[Sequence[str]]
 ) -> Tuple[str, ...]:
@@ -345,27 +331,39 @@ def _checked_names(
     return names
 
 
+def coefficient_texts(render: Callable[[FieldElement], T]) -> Callable[[FieldElement], T]:
+    """render, computed once per coefficient object: polynomials share few
+    objects across many terms (``build_g`` and ``cayley_menger`` make one per
+    distinct value). Use it for one pass over a term map, whose coefficients
+    outlive it, so that no id is reused."""
+    memo: Dict[int, T] = {}
+    return lambda c: memo[id(c)] if id(c) in memo else memo.setdefault(id(c), render(c))
+
+
+def _signed_text(c: FieldElement) -> Tuple[str, str, str]:
+    """(separator, magnitude, magnitude as a leading factor) of a coefficient;
+    a mixed Q(w) coefficient is parenthesized with its sign inside."""
+    text = element_to_text(c)
+    if c.spec.kind == CYCLOTOMIC_KIND and all(c.value):
+        text = f"({text})"
+    mag = text.removeprefix("-")
+    return " + " if mag == text else " - ", mag, "" if mag == "1" else mag + "*"
+
+
 def poly_to_text(p: Polynomial, names: Optional[Sequence[str]] = None) -> str:
     names = _checked_names(p.field, p.arity, names)
     if p.is_zero():
         return "0"
+    signed = coefficient_texts(_signed_text)
     pieces = []
-    for exps in sorted(p.terms, key=grlex_key, reverse=True):
-        neg, mag = _coeff_text(p.terms[exps])
+    for exps, c in sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
+        sep, mag, lead = signed(c)
         factors = [
             name if e == 1 else f"{name}^{e}"
             for name, e in compress(zip(names, exps), exps)
         ]
-        if not factors:
-            body = mag
-        elif mag == "1":
-            body = "*".join(factors)
-        else:
-            body = "*".join([mag] + factors)
-        if not pieces:
-            pieces.append(("-" if neg else "") + body)
-        else:
-            pieces.append((" - " if neg else " + ") + body)
+        pieces += (sep, lead + "*".join(factors) if factors else mag)
+    pieces[0] = "-" if pieces[0] == " - " else ""
     return "".join(pieces)
 
 

@@ -3,21 +3,25 @@ and plain reference implementations that tests compare the library against."""
 
 from fractions import Fraction
 from random import Random
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from itertools import compress
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from simplexpoly.field import (
     CYCLOTOMIC,
+    CYCLOTOMIC_KIND,
     PRIME_KIND,
     RATIONAL,
     RATIONAL_KIND,
     FieldElement,
     FieldSpec,
+    element_to_text,
     prime_field,
 )
-from simplexpoly.poly import Polynomial, _accumulate
+from simplexpoly.poly import Polynomial, _accumulate, default_names, grlex_key
 
 ALL_FIELDS = [RATIONAL, prime_field(3), prime_field(5), prime_field(7), CYCLOTOMIC]
 
@@ -152,3 +156,81 @@ def reference_bordered_determinant(
         return memo[cols]
 
     return minor(tuple(range(size)))
+
+
+def _reference_coeff_text(c: FieldElement) -> Tuple[bool, str]:
+    """(negative?, magnitude text); wraps mixed Q(w) coefficients in parens."""
+    if c.spec.kind == CYCLOTOMIC_KIND:
+        r, s = c.value
+        if r != 0 and s != 0:
+            return False, f"({element_to_text(c)})"
+        if r < 0 or (r == 0 and s < 0):
+            return True, element_to_text(-c)
+        return False, element_to_text(c)
+    text = element_to_text(c)
+    if text.startswith("-"):
+        return True, text[1:]
+    return False, text
+
+
+def reference_poly_to_text(p: Polynomial, names: Optional[Sequence[str]] = None) -> str:
+    """poly_to_text term by term: each coefficient rendered where it occurs,
+    each term looked up by its monomial in descending grlex order."""
+    names = tuple(names) if names is not None else default_names(p.arity)
+    if p.is_zero():
+        return "0"
+    pieces = []
+    for exps in sorted(p.terms, key=grlex_key, reverse=True):
+        neg, mag = _reference_coeff_text(p.terms[exps])
+        factors = [
+            name if e == 1 else f"{name}^{e}"
+            for name, e in compress(zip(names, exps), exps)
+        ]
+        if not factors:
+            body = mag
+        elif mag == "1":
+            body = "*".join(factors)
+        else:
+            body = "*".join([mag] + factors)
+        if not pieces:
+            pieces.append(("-" if neg else "") + body)
+        else:
+            pieces.append((" - " if neg else " + ") + body)
+    return "".join(pieces)
+
+
+TEXT_FIELDS = [RATIONAL, CYCLOTOMIC, prime_field(3), prime_field(7), prime_field(101)]
+TEXT_NAMES = ["x", "y2", "alpha", "b_c", "z", "u", "T"]
+
+
+@st.composite
+def polynomials_with_names(draw) -> Tuple[Polynomial, Optional[Tuple[str, ...]]]:
+    """A polynomial over a text-test field and its names (None for the defaults).
+
+    Its coefficients come from a pool of up to four values: a term holds
+    either the pool's object for its value, shared with other terms, or a
+    fresh object of the same value. Over Q(w) the pool mixes pure rationals,
+    pure multiples of w and mixed values.
+    """
+    field = draw(st.sampled_from(TEXT_FIELDS))
+    arity = draw(st.integers(1, 4))
+    small = st.integers(-3, 3)
+    values = draw(st.lists(st.tuples(small, st.integers(1, 3), small), min_size=1, max_size=4))
+
+    def element(v: Tuple[int, int, int]) -> FieldElement:
+        num, den, w_part = v
+        if field.kind == PRIME_KIND:
+            return field.from_int(num)
+        if field.kind == RATIONAL_KIND:
+            return field.from_fraction(Fraction(num, den))
+        return field.omega_element(Fraction(num, den), w_part)
+
+    pool = [element(v) for v in values]
+    raw = {}
+    for _ in range(draw(st.integers(0, 8))):
+        exps = tuple(draw(st.lists(st.integers(0, 3), min_size=arity, max_size=arity)))
+        i = draw(st.integers(0, len(pool) - 1))
+        raw[exps] = element(values[i]) if draw(st.booleans()) else pool[i]
+    names = draw(st.none() | st.lists(st.sampled_from(TEXT_NAMES), min_size=arity,
+                                      max_size=arity, unique=True).map(tuple))
+    return Polynomial.from_terms(field, arity, raw), names

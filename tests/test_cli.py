@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
 
 import simplexpoly
 from simplexpoly import cli, diophantine
@@ -17,7 +18,9 @@ from simplexpoly.cli import (
     parse_field,
 )
 from simplexpoly.field import CHAR2, CYCLOTOMIC, RATIONAL, prime_field
-from simplexpoly.poly import parse_polynomial
+from simplexpoly.poly import default_names, parse_polynomial
+
+from conftest import polynomials_with_names
 
 
 def run(capsys, *argv):
@@ -433,3 +436,62 @@ def test_closed_stdout_keeps_exit_code(extra):
         os.close(write_end)
     assert proc.returncode == EXIT_OK
     assert proc.stderr == b""
+
+
+def _fresh_process_report(argv):
+    src = os.path.dirname(os.path.dirname(simplexpoly.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "simplexpoly.cli", *argv],
+        stdout=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+        check=True,
+    )
+    return proc.stdout.decode()
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call may see another's options."""
+
+    CLASSIFY = ["classify", "--field", "Q", "--m", "3", "--a", "0", "--t", "2"]
+    CONSTRUCT = ["construct", "--family", "cayley-menger", "--field", "F7", "--n", "3"]
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_pretty_then_plain(self, capsys):
+        code, out = run(capsys, *self.CLASSIFY, "--pretty")
+        assert code == EXIT_OK and out.startswith("# classify")
+        code, report = run_json(capsys, *self.CLASSIFY)
+        assert code == EXIT_OK and report["payload"]["rule"] == "HeronCase"
+
+    def test_usage_error_then_valid_call(self, capsys):
+        assert main(["classify", "--field", "Q", "--m", "3", "--bogus"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error")
+        code, report = run_json(capsys, "diophantine", "--bound", "10", "--primitive-only")
+        assert code == EXIT_OK
+        assert report["payload"]["solutions"] == [[0, 1, 1, 1], [3, 5, 7, 8]]
+        assert "bogus" not in report["inputs"] and "m" not in report["inputs"]
+
+    def test_timing_does_not_carry_over(self, capsys):
+        code, report = run_json(capsys, "diophantine", "--bound", "5", "--timing")
+        assert isinstance(report["timing_s"], float)
+        code, report = run_json(capsys, "diophantine", "--bound", "5")
+        assert report["timing_s"] is None
+
+    def test_reports_equal_fresh_process_reports(self, capsys):
+        outs = [run(capsys, *argv) for argv in (self.CLASSIFY, self.CONSTRUCT)]
+        assert [code for code, _ in outs] == [EXIT_OK, EXIT_OK]
+        assert [out for _, out in outs] == [
+            _fresh_process_report(argv) for argv in (self.CLASSIFY, self.CONSTRUCT)
+        ]
+
+
+@given(polynomials_with_names())
+def test_payload_coefficients_are_field_literals(case):
+    p, names = case
+    names = names or default_names(p.arity)
+    terms = cli._poly_payload(p, names)["terms"]
+    assert terms == [
+        {"monomial": e, "coefficient": str(c)} for e, c in sorted(p.terms.items(), reverse=True)
+    ]

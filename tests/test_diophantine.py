@@ -161,24 +161,41 @@ class TestEnumerate:
         d = w**4 + x**4 + y**4
         assert (c * c - 2 * d < 0) == (y > w + x)
 
+    @staticmethod
+    def _filter_vs_scalar_scan(bound, ws):
+        """The filter's square triples in the rows of ws, against an exact
+        scalar scan of the same w that runs y to the bound, past the cut at
+        y = w + x; returns the triples the rows hold and the scan visits."""
+        exact, visited = [], 0
+        for w in ws:
+            for x in range(w, bound + 1):
+                for y in range(x, bound + 1):
+                    c = w * w + x * x + y * y
+                    disc = 3 * (c * c - 2 * (w**4 + x**4 + y**4))
+                    visited += 1
+                    if _is_square(disc):
+                        exact.append((w, x, y, c, math.isqrt(disc)))
+        w_rows, x_rows, n_rows = (np.concatenate(p) for p in zip(*diophantine._row_steps(bound)))
+        mine = np.isin(w_rows, ws)
+        got = diophantine._square_triples(w_rows[mine], x_rows[mine], n_rows[mine])
+        assert sorted(zip(*(v.tolist() for v in got))) == exact
+        return int(n_rows[mine].sum()), visited, len(exact)
+
     def test_filter_is_exact_at_the_largest_bound(self):
         # the largest discriminants, up to 9 * bound^4, have exact int64 values
-        # and float roots; the scalar scan runs y past w + x, so this also
-        # checks that the rows' cut at y = w + x loses no square
+        # and float roots; for w >= bound / 2 the rows run y to the bound
         bound = diophantine._MAX_BOUND
-        w = bound - 100
-        exact = []
-        for x in range(w, bound + 1):
-            for y in range(x, bound + 1):
-                c = w * w + x * x + y * y
-                disc = 3 * (c * c - 2 * (w**4 + x**4 + y**4))
-                if _is_square(disc):
-                    exact.append((x, y, c, math.isqrt(disc)))
-        w_rows, x_rows, n_rows = (np.concatenate(p) for p in zip(*diophantine._row_steps(bound)))
-        mine = w_rows == w
-        got = diophantine._square_triples(w_rows[mine], x_rows[mine], n_rows[mine])
-        assert got[0].tolist() == [w] * len(exact)
-        assert sorted(zip(*(v.tolist() for v in got[1:]))) == exact
+        held, visited, squares = self._filter_vs_scalar_scan(bound, range(bound - 100, bound + 1))
+        assert held == visited
+        assert squares == 109
+
+    def test_cut_loses_no_square(self):
+        # below bound / 2 the rows stop at y = w + x < bound for x < bound - w
+        bound = diophantine._MAX_BOUND
+        w = 400
+        held, visited, squares = self._filter_vs_scalar_scan(bound, [w])
+        assert visited - held == (bound - 2 * w) * (bound - 2 * w + 1) // 2
+        assert squares > 0
 
     def test_pinned_bound_400(self):
         # recorded from the scan over every (w, x, y) before the triangle cut

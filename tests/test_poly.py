@@ -3,6 +3,7 @@ from operator import add
 from random import Random
 
 import pytest
+from hypothesis import given
 
 from simplexpoly.field import CYCLOTOMIC, RATIONAL, prime_field
 from simplexpoly.poly import (
@@ -12,7 +13,13 @@ from simplexpoly.poly import (
     poly_to_text,
 )
 
-from conftest import random_element, random_polynomial, substitute
+from conftest import (
+    polynomials_with_names,
+    random_element,
+    random_polynomial,
+    reference_poly_to_text,
+    substitute,
+)
 
 Q = RATIONAL
 F5 = prime_field(5)
@@ -362,3 +369,30 @@ class TestTextFormat:
             p = random_polynomial(any_field, 3, rng)
             text = poly_to_text(p, names)
             assert parse_polynomial(text, any_field, 3, names) == p
+
+    @given(polynomials_with_names())
+    def test_matches_reference_renderer(self, case):
+        p, names = case
+        assert poly_to_text(p, names) == reference_poly_to_text(p, names)
+
+    @pytest.mark.parametrize(
+        "field, build, names, expected",
+        [
+            (Q, lambda x, y: Polynomial.constant(Q, 2, -3), None, "-3"),
+            (Q, lambda x, y: Polynomial.constant(Q, 2, 1), None, "1"),
+            (Q, lambda x, y: Polynomial.constant(Q, 2, -1), None, "-1"),
+            (Q, lambda x, y: -x + y.scale(-1) - Polynomial.constant(Q, 2, 1), None,
+             "-x1 - x2 - 1"),
+            (F5, lambda x, y: x * y.scale(4) + Polynomial.constant(F5, 2, 1), ["u", "v"],
+             "4*u*v + 1"),
+            (CYCLOTOMIC, lambda x, y: x.scale(CYCLOTOMIC.omega_element(0, -1)) + y, ["s", "t"],
+             "-w*s + t"),
+            (CYCLOTOMIC, lambda x, y: (x * y).scale(CYCLOTOMIC.omega_element(-1, -2)) - y**2,
+             ["a", "b"], "(-1-2*w)*a*b - b^2"),
+            (CYCLOTOMIC, lambda x, y: Polynomial.constant(
+                CYCLOTOMIC, 2, CYCLOTOMIC.omega_element(Fraction(1, 2), 3)), None, "(1/2+3*w)"),
+        ],
+    )
+    def test_signs_units_and_cyclotomic_literals(self, field, build, names, expected):
+        p = build(*variables(field, 2))
+        assert poly_to_text(p, names) == reference_poly_to_text(p, names) == expected
