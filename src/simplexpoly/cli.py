@@ -364,6 +364,11 @@ def build_parser() -> _Parser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.monotonic()
     try:
+        argv = sys.argv[1:] if argv is None else list(argv)
+        # attach a value such as -1/2, -w or -x^2, which argparse takes for an option
+        for i in range(len(argv) - 1, 0, -1):
+            if argv[i - 1] in ("--a", "--t", "--poly") and argv[i][:1] == "-" and argv[i][:2] != "--":
+                argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
         args = build_parser().parse_args(argv)
         args._started = started
         return args.func(args)

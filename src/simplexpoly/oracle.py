@@ -11,10 +11,10 @@ Leading homogeneous components multiply, so a divisor's top-degree form
 divides the input's (Ostrowski; Gao, J. Algebra 237, 2001). For an
 inhomogeneous input, a homogeneous search of the input's top-degree form
 first collects its monic divisors of degree d, when the search reaches d;
-in the tail order, where the degree-d monomials are the high digits, each
-such divisor fixes one aligned run of candidates, and only those runs are
-enumerated. Skipped runs still count in ``candidates_tried``; the candidate
-budget counts the forms searched and the runs enumerated.
+with the degree-d monomials as the high digits of a candidate's index, a
+divisor of index r fixes the indices [r q^k, (r+1) q^k), k the number of
+lower monomials, and only those runs are enumerated. Skipped runs still
+count in ``candidates_tried``; the budget counts forms and runs enumerated.
 
 The search is exhaustive within its budget or reports BudgetExceeded, never
 a silent partial answer. A cheap necessary-condition filter prunes
@@ -31,16 +31,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, islice
+from itertools import chain, combinations_with_replacement, islice
 from math import comb, gcd, inf
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .field import PRIME_KIND, FieldElement, FieldSpec
+from .field import PRIME_KIND
 from .poly import Monomial, Polynomial, grlex_key
 
-_CHUNK = 1 << 18  # most tails one filter step holds
+_CHUNK = 1 << 18  # most indices one filter step holds
 _LINES = 8  # filter lines on which the input does not vanish
 _MAX_TABLE_BYTES = 1 << 23  # the accept tables of one candidate degree, together
 
@@ -219,12 +219,13 @@ def _accept_tables(
 def _low_codes(cols: np.ndarray, q: int) -> np.ndarray:
     """Code of the restriction of every low-digit pattern, in enumeration order.
 
-    cols is the (deg+1) x k block of a line matrix for the k lowest tail
-    digits; pattern j has digit (j // q^(k-1-i)) % q in column i. Codes
-    add digit by digit mod q, so a pattern's code and the code of the
-    higher digits combine without carries. The digit rows stay below 2q in
-    the narrowest unsigned type, where min(y, y - q) reduces mod q (y - q
-    wraps above y when y < q), and are packed into codes once at the end.
+    cols is the (deg+1) x k block of a line matrix for the k lowest index
+    digits; pattern j has digit (j // q^(k-1-i)) % q in column i. Codes add
+    digit by digit mod q, so one table serves every chunk of a degree: a
+    pattern's code and the high digits' code combine without carries. The
+    digit rows stay below 2q in the narrowest unsigned type, where min(y,
+    y - q) reduces mod q (y - q wraps above y when y < q), and are packed
+    into codes once at the end.
     """
     rows, narrow = len(cols), np.min_scalar_type(2 * q)
     steps = (cols[:, :, None] * np.arange(q) % q).astype(narrow)
@@ -238,16 +239,6 @@ def _low_codes(cols: np.ndarray, q: int) -> np.ndarray:
         codes *= q
         codes += row
     return codes
-
-
-def _candidate_polynomial(
-    field: FieldSpec, arity: int, monos: List[Monomial], lead: int, tail: np.ndarray
-) -> Polynomial:
-    terms: Dict[Monomial, FieldElement] = {monos[lead]: field.one()}
-    for offset, c in enumerate(tail):
-        if c:
-            terms[monos[lead + 1 + offset]] = field.from_int(int(c))
-    return Polynomial(field, arity, terms)
 
 
 class _Refused(Exception):
@@ -293,15 +284,17 @@ class _Search:
         self.tables = np.tile(np.arange(self.q) > 0, (len(self.lines), 1))
 
     def divisors(
-        self, d: int, runs: Optional[Dict[int, List[int]]] = None
-    ) -> Iterator[Tuple[int, int, FactorFound]]:
-        """(lead, tail index, found) for each monic divisor of degree d, in order.
+        self, d: int, runs: Optional[List[int]] = None
+    ) -> Iterator[Tuple[int, FactorFound]]:
+        """(index, found) for each monic divisor of degree d, in ascending index.
 
-        Without runs every tail of every block is a candidate. With runs,
-        block lead tries only the runs listed in runs[lead]: run r is the
-        aligned range of q^k tails, k the number of monomials of degree
-        below d, whose higher digits (those of the degree-d monomials) read
-        r. A run is therefore the tails of one degree-d leading form.
+        A candidate's index is its coefficient vector read as a base-q
+        number, the first monomial most significant: monic candidates with
+        t monomials after the leading one are [q^t, 2 q^t), those of degree
+        d have t >= k, k the number of lower monomials, and ascending index
+        is the enumeration order. Runs, a sorted list of indices over the
+        degree-d monomials, limit the search to the candidates [r q^k,
+        (r+1) q^k) whose degree-d form has index r, for each run r.
         """
         p, q = self.p, self.q
         size = _check_table(q, d)
@@ -312,50 +305,55 @@ class _Search:
             raise _Refused("time limit exceeded")
         self.tables = tables
         monos = _monomials_desc(p.arity, d, exact=self.homogeneous)
-        lead_count = comb(p.arity + d - 1, d)
+        n = len(monos)
         if used:
             vys, points, _ = zip(*used)
             mats = _line_matrix(monos, points, vys, q, d)
         else:
-            mats = np.zeros((1, d + 1, len(monos)), dtype=np.int64)
+            mats = np.zeros((1, d + 1, n), dtype=np.int64)
             tables = np.ones((1, size), dtype=bool)
         first, first_table = mats[0], tables[0].reshape((q,) * (d + 1))
-        powers = q ** np.arange(d + 1)
+        powers, places = q ** np.arange(d + 1), q ** np.arange(n - 1, -1, -1)
         axes = tuple(range(d + 1))
-        codes_low = None
-        # blocks with the latest possible leading monomial come first
-        for lead in range(lead_count - 1, -1, -1):
-            t_len = len(monos) - 1 - lead
-            run_len = t_len if runs is None else len(monos) - lead_count
-            # chunks are aligned runs of q^low tails that share their high digits
-            low = 0
-            while low < run_len and q ** (low + 1) <= _CHUNK:
-                low += 1
-            high = t_len - low
-            places = q ** np.arange(t_len - 1, -1, -1)
-            later = [(m[:, lead + 1 :].T, m[:, lead], t) for m, t in zip(mats[1:], tables[1:])]
-            high_cols = first[:, lead + 1 : lead + 1 + high]
-            # the low digits are those of the last monomials in every block,
-            # and low never falls from one block to the next
-            if low != codes_low:
-                codes, codes_low = _low_codes(first[:, len(monos) - low :], q), low
-            for r in [0] if runs is None else runs.get(lead, []):
-                for start in range(r * q**run_len, (r + 1) * q**run_len, q**low):
-                    _check_deadline(self.deadline)
-                    # the restriction of a tail is the high digits' shift plus
-                    # its low pattern's code, so shift the table, not the codes
-                    shift = (first[:, lead] + high_cols @ (start // places[:high] % q)) % q
-                    shifted = np.roll(first_table, tuple(-shift[::-1]), axis=axes)
-                    rows = np.flatnonzero(shifted.ravel()[codes])
-                    tails = (start + rows)[:, None] // places % q
-                    for tail_mat, base, table in later:
-                        tails = tails[table[(tails @ tail_mat + base) % q @ powers]]
-                    for tail in tails:
-                        _check_deadline(self.deadline)
-                        cand = _candidate_polynomial(p.field, p.arity, monos, lead, tail)
-                        quotient = p.exact_divide(cand)
-                        if quotient is not None:
-                            yield lead, int(tail @ places), FactorFound(cand, quotient)
+        k = n - comb(p.arity + d - 1, d)  # the monomials of degree below d
+        # chunks are aligned ranges of q^low indices that share their high
+        # digits, within one run or within one [q^t, 2 q^t), low <= t < n
+        low = 0
+        while low < (n - 1 if runs is None else k) and q ** (low + 1) <= _CHUNK:
+            low += 1
+        high = n - low
+        codes = _low_codes(first[:, high:], q)
+        later = mats[1:].transpose(0, 2, 1)  # one row per index digit
+        # the monic indices below q^low have no high digits: one chunk holds them
+        below = [np.arange(q**t, 2 * q**t) for t in range(k, low)] if runs is None else []
+        # the other chunks step through [r q^e, (r+1) q^e) for each (r, e) in spans
+        spans = [(1, t) for t in range(max(k, low), n)] if runs is None else [(r, k) for r in runs]
+        starts = (s for r, e in spans for s in range(r * q**e, (r + 1) * q**e, q**low))
+        chunks = chain([(0, np.concatenate(below))] if below else [], ((s, None) for s in starts))
+        for start, patterns in chunks:
+            _check_deadline(self.deadline)
+            top = start // places[:high] % q
+            # the restriction of a candidate is the high digits' shift plus
+            # its low pattern's code, so shift the table, not the codes
+            shift = first[:, :high] @ top % q
+            shifted = np.roll(first_table, tuple(-shift[::-1]), axis=axes).ravel()
+            if patterns is None:
+                patterns = np.flatnonzero(shifted[codes])
+            else:
+                patterns = patterns[shifted[codes[patterns]]]
+            lows = patterns[:, None] // places[high:] % q
+            for low_mat, table, base in zip(later[:, high:], tables[1:], top @ later[:, :high]):
+                if not len(lows):
+                    break
+                lows = lows[table[(lows @ low_mat + base) % q @ powers]]
+            for tail in lows.tolist():
+                _check_deadline(self.deadline)
+                coeffs = top.tolist() + tail
+                terms = {m: p.field.from_int(c) for m, c in zip(monos, coeffs) if c}
+                cand = Polynomial(p.field, p.arity, terms)
+                quotient = p.exact_divide(cand)
+                if quotient is not None:
+                    yield int(places @ coeffs), FactorFound(cand, quotient)
 
 
 def brute_force_factor_search(
@@ -401,14 +399,11 @@ def brute_force_factor_search(
             # leading form: an inhomogeneous p needs only the runs of those forms
             leading = None if homogeneous else _Search(p.leading_homogeneous_component(), deadline)
         for d in range(1, degree_cap + 1):
-            runs = None
-            if leading is not None:
-                runs = {}
-                for lead, index, _ in leading.divisors(d):
-                    runs.setdefault(lead, []).append(index)
-                work += sum(map(len, runs.values())) * q ** comb(p.arity + d - 1, p.arity)
+            runs = None if leading is None else [index for index, _ in leading.divisors(d)]
+            if runs is not None:
+                work += len(runs) * q ** comb(p.arity + d - 1, p.arity)
                 _check_candidates(work, budget)
-            for _, _, found in search.divisors(d, runs):
+            for _, found in search.divisors(d, runs):
                 return found
     except _Refused as refused:
         return BudgetExceeded(str(refused))

@@ -487,6 +487,45 @@ class TestParserReuse:
         ]
 
 
+class TestNegativeLiterals:
+    """--a, --t and --poly take a value that starts with a single '-'."""
+
+    SEPARATE = [
+        ["classify", "--field", "Q", "--m", "3", "--a", "1", "--t", "-1/2"],
+        ["construct", "--family", "g", "--field", "Qw", "--m", "3", "--a", "1", "--t", "-w"],
+        ["classify", "--field", "F7", "--m", "3", "--a", "-1", "--t", "-2"],
+        ["oracle", "--field", "5", "--vars", "x,y", "--poly", "-x^2+y^2"],
+    ]
+
+    @pytest.mark.parametrize("argv", SEPARATE)
+    def test_separate_and_attached_forms_agree(self, capsys, argv):
+        attached = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+        code, out = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert (code, out) == run(capsys, *attached)
+        assert json.loads(out)["inputs"][argv[-2][2:]] == argv[-1]
+
+    def test_installed_entry_point_form(self, capsys):
+        argv = self.SEPARATE[0]
+        assert run(capsys, *argv)[1] == _fresh_process_report(argv)
+
+    def test_oracle_factor_of_negative_input(self, capsys):
+        code, report = run_json(capsys, *self.SEPARATE[3])
+        assert report["payload"]["factor"] == "x + y"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--field", "Q", "--m", "3", "--a", "1", "--t", "--pretty"],
+            ["classify", "--field", "Q", "--m", "3", "--a", "--t", "-1/2"],
+            ["oracle", "--field", "5", "--vars", "x,y", "--poly", "--homogeneous"],
+        ],
+    )
+    def test_following_option_is_not_a_value(self, capsys, argv):
+        assert main(argv) == EXIT_USAGE
+        assert "expected one argument" in capsys.readouterr().err
+
+
 @given(polynomials_with_names())
 def test_payload_coefficients_are_field_literals(case):
     p, names = case

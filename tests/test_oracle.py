@@ -1,6 +1,8 @@
 from itertools import product
+from math import inf
 from random import Random
 from types import SimpleNamespace
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -269,7 +271,7 @@ class TestBruteForceSearch:
         )
 
 
-def _reference_search(p: Polynomial):
+def _reference_search(p: Polynomial, degree: Optional[int] = None):
     """The search without the line filter: every monic candidate, in order.
 
     Enumeration as documented in ``oracle``: degrees ascending, then blocks
@@ -280,6 +282,10 @@ def _reference_search(p: Polynomial):
     the remainder is zero. The first divisor's quotient comes from
     ``Polynomial.exact_divide``. Dividing every candidate with
     ``exact_divide`` itself would take minutes on the F_5, a = 1 inputs.
+
+    With a degree, the list of (index, divisor) for every monic divisor of
+    that degree instead, in order; the index is the divisor's coefficient
+    vector read as one base-q number, the first monomial most significant.
     """
     q, arity, deg = p.field.p, p.arity, p.degree()
     homogeneous, _ = p.is_homogeneous()
@@ -292,8 +298,8 @@ def _reference_search(p: Polynomial):
     target = np.zeros(len(space), dtype=np.int64)
     for e, c in p.terms.items():
         target[index[e]] = c.value
-    tried = 0
-    for d in range(1, deg // 2 + 1):
+    tried, divisors = 0, []
+    for d in range(1, deg // 2 + 1) if degree is None else [degree]:
         monos = [e for e in space if sum(e) == d or (sum(e) < d and not homogeneous)]
         for lead in reversed([i for i, e in enumerate(monos) if sum(e) == d]):
             lm, tail_monos = monos[lead], monos[lead + 1 :]
@@ -320,12 +326,14 @@ def _reference_search(p: Polynomial):
                     else:
                         rem[rows] = (rem[rows] - rem[row] * tails) % q
                 tried += len(idx)
-                if tails.shape[1]:
-                    coeffs = [1] + tails[:, 0].tolist()
+                for tail in tails.T.tolist():
+                    coeffs = [1] + tail
                     terms = {e: p.field.from_int(c) for e, c in zip(monos[lead:], coeffs)}
                     cand = Polynomial.from_terms(p.field, arity, terms)
-                    return FactorFound(cand, p.exact_divide(cand))
-    return NoFactorFound(tried)
+                    if degree is None:
+                        return FactorFound(cand, p.exact_divide(cand))
+                    divisors.append((n_block + int(places @ tail), cand))
+    return NoFactorFound(tried) if degree is None else divisors
 
 
 CRITERION_3_PARAMS = [(q, a, t) for q in (3, 5) for a in (0, 1) for t in range(q)] + [
@@ -375,6 +383,71 @@ class TestSearchMatchesReference:
         for p in (vanishing, vanishing * (x + y + Polynomial.constant(F3, 2, 1))):
             assert oracle._filter_lines(p, 3, p.degree()) == []
             assert brute_force_factor_search(p) == _reference_search(p)
+
+
+class TestDivisorSequence:
+    """_Search.divisors yields every monic divisor, in strictly ascending index."""
+
+    F13 = prime_field(13)
+    # over F_13 the quadratic forms' chunks hold 13^4 indices (low = 4): x*z +
+    # y^2 falls below 13^4, x*y on it and x^2 + y*z past it; of the linear
+    # forms, y falls below 13^2 and x on it
+    HOMOGENEOUS = [("x^2+y*z", "x*z+y^2"), ("x", "y", "x^2+y*z")]
+
+    @staticmethod
+    def _product(field, factors, names):
+        p = Polynomial.constant(field, len(names), 1)
+        for text in factors:
+            p = p * parse_polynomial(text, field, len(names), names)
+        return p
+
+    @staticmethod
+    def _sequences(p, leading=None):
+        """{d: [(index, factor)]} from one _Search, degrees ascending."""
+        search, sequences = oracle._Search(p, inf), {}
+        for d in range(1, p.degree() // 2 + 1):
+            runs = None if leading is None else [i for i, _ in leading.divisors(d)]
+            sequences[d] = []
+            for index, found in search.divisors(d, runs):
+                assert found.factor * found.quotient == p
+                sequences[d].append((index, found.factor))
+        return sequences
+
+    def _check(self, p, leading=None):
+        got = self._sequences(p, leading)
+        assert got == {d: _reference_search(p, d) for d in got}
+        for sequence in got.values():
+            indices = [index for index, _ in sequence]
+            assert all(a < b for a, b in zip(indices, indices[1:]))
+        return got
+
+    @pytest.mark.parametrize("factors", HOMOGENEOUS)
+    def test_homogeneous(self, factors):
+        p = self._product(self.F13, factors, ["x", "y", "z"])
+        got = self._check(p)
+        first_chunk = {1: 13**2, 2: 13**4}  # the indices q^low of each degree
+        past = {i >= first_chunk[d] for d, sequence in got.items() for i, _ in sequence}
+        assert past == {False, True}
+
+    @pytest.mark.parametrize("factors", HOMOGENEOUS)
+    def test_homogeneous_small_chunks(self, monkeypatch, factors):
+        # chunks of 13^2 indices: each range [13^t, 2 * 13^t), t >= 2, splits
+        monkeypatch.setattr(oracle, "_CHUNK", 13**2)
+        self._check(self._product(self.F13, factors, ["x", "y", "z"]))
+
+    @pytest.mark.parametrize("chunk", [oracle._CHUNK, 5**2])
+    def test_runs_of_several_leading_forms(self, monkeypatch, chunk):
+        # the leading form x^3*y^2 has the degree-2 divisors x^2, x*y and y^2,
+        # each a run of 5^3 candidates (split in chunks of 5^2 under the patch)
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        p = self._product(F5, ["x^2+2*y+1", "x*y+x+3", "y+1"], ["x", "y"])
+        leading = oracle._Search(p.leading_homogeneous_component(), inf)
+        forms = oracle._Search(leading.p, inf)
+        assert [len(list(forms.divisors(d))) for d in (1, 2)] == [2, 3]
+        got = self._check(p, leading)
+        assert [len(s) for s in got.values()] == [1, 2]
+        # without runs every degree-d candidate is tried, with the same result
+        assert self._sequences(p) == got
 
 
 def test_line_matrix_restriction_matches_evaluation():
