@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from random import Random
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 from . import __version__
 from .classify import Char2GParams, classify_cayley_menger, classify_g, verdict_to_json
@@ -58,6 +58,7 @@ EXIT_INTERNAL = 3
 # size budgets, checked before any polynomial or matrix is built
 MAX_G_TERMS = 100_000  # g has (m+1)(m+2)/2 terms: m = 445 is the largest accepted
 MAX_SIMPLEX_N = 1_000  # geometry verify builds an (n+1)x(n+1) matrix
+MAX_VERIFY_WORK = 4 * 10**9  # verify samples * (n + 101)^2: at most about 2 s
 
 
 class UsageError(Exception):
@@ -243,20 +244,22 @@ def cmd_geometry(args: argparse.Namespace) -> int:
             raise SizeBudgetExceeded(
                 f"simplex dimension {args.n} is above the limit of {MAX_SIMPLEX_N}"
             )
+        work = args.samples * (args.n + 101) ** 2
+        if work > MAX_VERIFY_WORK:
+            raise SizeBudgetExceeded(
+                f"samples * (n + 101)^2 is {work}, above the limit of {MAX_VERIFY_WORK}"
+            )
         simplex = regular_simplex(args.n, args.a)
         rng = Random(args.seed)
-        worst = 0.0
-        residuals: List[float] = []
-        for _ in range(args.samples):
-            weights = random_affine_weights(args.n, rng)
-            res = relation_residual(simplex, weights).residual
-            residuals.append(res)
-            worst = max(worst, abs(res))
+        residuals = [
+            relation_residual(simplex, random_affine_weights(args.n, rng)).residual
+            for _ in range(args.samples)
+        ]
         payload: Dict[str, object] = {
             "n": args.n,
             "edge": args.a,
             "samples": args.samples,
-            "max_abs_residual": worst,
+            "max_abs_residual": max(0.0, *map(abs, residuals)),
             "first_residuals": residuals[:10],
         }
         return _emit(args, payload)

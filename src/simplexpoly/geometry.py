@@ -36,15 +36,18 @@ class RegularSimplex:
         v = self.vertices
         if v.shape != (self.n + 1, self.n + 1):
             raise ValueError("expected n+1 vertices in R^{n+1}")
-        # one vertex row at a time: an all-pairs difference array holds ~n^3 floats
-        for i in range(self.n):
-            d = np.linalg.norm(v[i + 1 :] - v[i], axis=1)
-            bad = np.flatnonzero(np.abs(d - self.edge) > _REL_TOL * self.edge)
-            if bad.size:
-                j = int(bad[0])
-                d_ij = float(d[j])
-                raise ValueError(f"vertices {i}, {i + 1 + j} are {d_ij} apart, not {self.edge}")
-        if np.linalg.matrix_rank(v[1:] - v[0], tol=1e-9 * self.edge) != self.n:
+        # each squared edge |u_i - u_j|^2 = G_ii + G_jj - 2 G_ij from the Gram matrix G
+        # of u = v - v[0]: (n+1)^2 floats, not the (n+1)^3 of all pairwise differences
+        u = v - v[0]
+        d = u @ u.T  # mostly in place: an (n+1)^2 temporary is 8 MB at n = 1000
+        sq = d.diagonal().copy()
+        d *= -2.0
+        d += sq[:, None] + sq
+        bad = np.abs(np.sqrt(np.maximum(d, 0.0, out=d), out=d) - self.edge) > _REL_TOL * self.edge
+        for i, j in np.argwhere(np.triu(bad, 1))[:1]:  # the first bad pair in row-major order
+            d_ij = float(np.linalg.norm(v[j] - v[i]))
+            raise ValueError(f"vertices {i}, {j} are {d_ij} apart, not {self.edge}")
+        if np.linalg.matrix_rank(u[1:], tol=1e-9 * self.edge) != self.n:
             raise ValueError("vertices do not span an n-dimensional affine hull")
 
 
@@ -79,16 +82,19 @@ def relation_residual(simplex: RegularSimplex, weights: Sequence[float]) -> Dist
     """Distances from the affine point sum(w_i vertex_i) and the residual.
 
     Weights must sum to 1 (that is what membership in the affine hull
-    means); negative weights are allowed. The residual is the relation
-    defect normalized by edge^4, which makes it scale invariant.
+    means); negative weights are allowed, non-finite ones are not. The
+    residual is the relation defect over edge^4, so it is scale invariant.
     """
     if len(weights) != simplex.n + 1:
         raise ValueError(f"need {simplex.n + 1} weights, got {len(weights)}")
+    if not all(map(math.isfinite, weights)):
+        raise ValueError("weights must be finite")
     total = math.fsum(weights)
     if abs(total - 1.0) > _WEIGHT_SUM_TOL:
         raise ValueError(f"weights sum to {total}, not 1: point is outside the affine hull")
-    point = np.asarray(weights, dtype=float) @ simplex.vertices
-    distances = tuple(float(np.linalg.norm(point - v)) for v in simplex.vertices)
+    diff = np.asarray(weights, dtype=float) @ simplex.vertices - simplex.vertices
+    # per vertex the dot np.linalg.norm(diff[i]) takes, batched: the same bits, unlike axis=1
+    distances = tuple(np.sqrt(diff[:, None, :] @ diff[:, :, None]).ravel().tolist())
     residual = relation_value(simplex.edge, distances) / simplex.edge**4
     return DistanceTuple(simplex.edge, distances, residual)
 
@@ -155,7 +161,7 @@ def realize_in_plane(side: float, d1: float, d2: float, d3: float) -> Optional[n
     """
     if side <= 0:
         return None
-    # vertices (0, 0), (side, 0), and the apex below
+    # vertices (0, 0), (side, 0), and the apex (cx, cy) above them
     cx, cy = side / 2.0, side * math.sqrt(3.0) / 2.0
     x = (d1 * d1 - d2 * d2 + side * side) / (2.0 * side)
     y_sq = d1 * d1 - x * x
@@ -163,8 +169,7 @@ def realize_in_plane(side: float, d1: float, d2: float, d3: float) -> Optional[n
         return None
     y = math.sqrt(max(y_sq, 0.0))
     scale = max(side, d1, d2, d3, 1.0)
-    for point in (np.array([x, y]), np.array([x, -y])):
-        d = math.hypot(point[0] - cx, point[1] - cy)
-        if abs(d - d3) <= _REALIZE_TOL * scale:
-            return point
+    for py in (y, -y):
+        if abs(math.hypot(x - cx, py - cy) - d3) <= _REALIZE_TOL * scale:
+            return np.array([x, py])
     return None

@@ -1,6 +1,7 @@
 """Shared helpers: deterministic random generators for field and ring values,
 and plain reference implementations that tests compare the library against."""
 
+import math
 from fractions import Fraction
 from random import Random
 from itertools import compress
@@ -21,6 +22,7 @@ from simplexpoly.field import (
     element_to_text,
     prime_field,
 )
+from simplexpoly.geometry import quadruple_residual
 from simplexpoly.poly import Polynomial, _accumulate, default_names, grlex_key
 
 ALL_FIELDS = [RATIONAL, prime_field(3), prime_field(5), prime_field(7), CYCLOTOMIC]
@@ -234,3 +236,51 @@ def polynomials_with_names(draw) -> Tuple[Polynomial, Optional[Tuple[str, ...]]]
     names = draw(st.none() | st.lists(st.sampled_from(TEXT_NAMES), min_size=arity,
                                       max_size=arity, unique=True).map(tuple))
     return Polynomial.from_terms(field, arity, raw), names
+
+
+def reference_simplex_error(n: int, edge: float, vertices: np.ndarray, rel_tol: float) -> Optional[str]:
+    """The message RegularSimplex raises for these vertices, or None if it
+    accepts them: each pair's distance by its own norm, in row-major order,
+    then the rank of the edge vectors at vertex 0."""
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            d = float(np.linalg.norm(vertices[j] - vertices[i]))
+            if abs(d - edge) > rel_tol * edge:
+                return f"vertices {i}, {j} are {d} apart, not {edge}"
+    if np.linalg.matrix_rank(vertices[1:] - vertices[0], tol=1e-9 * edge) != n:
+        return "vertices do not span an n-dimensional affine hull"
+    return None
+
+
+def _reference_realize_in_plane(side: float, d1: float, d2: float, d3: float) -> Optional[np.ndarray]:
+    if side <= 0:
+        return None
+    cx, cy = side / 2.0, side * math.sqrt(3.0) / 2.0
+    x = (d1 * d1 - d2 * d2 + side * side) / (2.0 * side)
+    y_sq = d1 * d1 - x * x
+    if y_sq < -1e-6 * max(d1 * d1, 1.0):
+        return None
+    y = math.sqrt(max(y_sq, 0.0))
+    scale = max(side, d1, d2, d3, 1.0)
+    for point in (np.array([x, y]), np.array([x, -y])):
+        d = math.hypot(point[0] - cx, point[1] - cy)
+        if abs(d - d3) <= 1e-6 * scale:
+            return point
+    return None
+
+
+def reference_realizability_report(sol) -> Dict[str, object]:
+    """diophantine.realizability_report with one numpy point per candidate."""
+    realizable = []
+    residuals = []
+    for i, side in enumerate(sol.values):
+        rest = [v for k, v in enumerate(sol.values) if k != i]
+        residuals.append(quadruple_residual(float(side), [float(v) for v in rest]))
+        if side > 0 and _reference_realize_in_plane(float(side), *[float(v) for v in rest]) is not None:
+            realizable.append(i)
+    return {
+        "values": list(sol.values),
+        "primitive": sol.primitive,
+        "side_positions_realizable": realizable,
+        "relation_residuals": residuals,
+    }

@@ -18,6 +18,7 @@ from simplexpoly.cli import (
     parse_field,
 )
 from simplexpoly.field import CHAR2, CYCLOTOMIC, RATIONAL, prime_field
+from simplexpoly.geometry import DistanceTuple
 from simplexpoly.poly import default_names, parse_polynomial
 
 from conftest import polynomials_with_names
@@ -137,6 +138,32 @@ class TestSizeBudgets:
         assert "above the limit of 1000" in captured.err
         with pytest.raises(Reached):
             main(["geometry", "verify", "--n", "1000", "--a", "1"])
+
+    # the most samples at n = 1000 and at n = 2 within samples * (n + 101)^2 <= 4e9
+    @pytest.mark.parametrize("n,samples", [(1000, 3299), (2, 377038)])
+    def test_oversized_verify_refused_before_building(self, monkeypatch, capsys, n, samples):
+        assert cli.MAX_VERIFY_WORK == 4 * 10**9
+        monkeypatch.setattr(cli, "regular_simplex", reached)
+        for over in (samples + 1, 10**8):
+            argv = ["geometry", "verify", "--n", str(n), "--a", "1", "--samples", str(over)]
+            assert main(argv) == EXIT_BUDGET
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "above the limit of 4000000000" in captured.err
+        with pytest.raises(Reached):
+            main(["geometry", "verify", "--n", str(n), "--a", "1", "--samples", str(samples)])
+
+    @pytest.mark.parametrize("n,samples", [(1000, 3299), (2, 377038)])
+    def test_largest_verify_accepted(self, monkeypatch, capsys, n, samples):
+        # the samples themselves are stubbed; the largest real run takes about 2 s
+        dt = DistanceTuple(1.0, (1.0,) * (n + 1), 0.0)
+        monkeypatch.setattr(cli, "random_affine_weights", lambda n, rng: None)
+        monkeypatch.setattr(cli, "relation_residual", lambda simplex, weights: dt)
+        code, report = run_json(
+            capsys, "geometry", "verify", "--n", str(n), "--a", "1", "--samples", str(samples)
+        )
+        assert code == EXIT_OK
+        assert report["payload"]["n"] == n and report["payload"]["samples"] == samples
 
 
 class TestConstructCommand:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import reference_realizability_report
 from simplexpoly import diophantine
 from simplexpoly.diophantine import (
     SolutionTuple,
@@ -153,6 +154,16 @@ class TestEnumerate:
                 for x in range(w, bound + 1)
             ]
 
+    @pytest.mark.parametrize("step", [1, 2, 37, diophantine._STEP])
+    def test_steps_are_full(self, monkeypatch, step):
+        # rows are built in bands, but a step closes only when the next row
+        # does not fit, as if the rows were packed one by one
+        monkeypatch.setattr(diophantine, "_STEP", step)
+        for bound in (1, 17, 60, 200):
+            steps = [n.tolist() for _, _, n in diophantine._row_steps(bound)]
+            for held, following in zip(steps, steps[1:]):
+                assert sum(held) + following[0] > step
+
     @given(st.lists(st.integers(0, 10**6), min_size=3, max_size=3))
     def test_negative_discriminant_exactly_past_the_triangle(self, sides):
         # why rows stop at y = w + x: past it the discriminant has no root
@@ -224,6 +235,10 @@ class TestRealizability:
         report = realizability_report(sol)
         assert 3 in report["side_positions_realizable"]
         assert all(abs(r) < 1e-9 for r in report["relation_residuals"])
+
+    def test_matches_reference_report(self):
+        for s in enumerate_solutions(200):
+            assert realizability_report(s) == reference_realizability_report(s), s.values
 
     def test_every_enumerated_tuple_reported(self):
         # the relation is necessary, not sufficient: report, never assert

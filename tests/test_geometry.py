@@ -4,8 +4,12 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import reference_simplex_error
+from simplexpoly import geometry
 from simplexpoly.geometry import (
+    RegularSimplex,
     quadruple_residual,
     random_affine_weights,
     realize_in_plane,
@@ -57,6 +61,86 @@ class TestRegularSimplex:
             RegularSimplex(3, 1.0, moved)
 
 
+def _simplex_error(n, edge, vertices):
+    try:
+        RegularSimplex(n, edge, vertices)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestSimplexCheckMatchesPairwiseNorms:
+    """RegularSimplex accepts and rejects as a check of each pair's own norm
+    would, and names the same first bad pair with the same distance."""
+
+    @given(
+        n=st.integers(2, 12),
+        scale=st.sampled_from([0.75, 1.0, 2.5]),
+        offset=st.sampled_from([0.0, 1e6]),
+        move=st.none() | st.tuples(st.integers(0, 12), st.integers(0, 12),
+                                   st.floats(1e-9, 1e-2), st.booleans()),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_regular_translated_and_perturbed(self, n, scale, offset, move):
+        # scale * e_i + offset is exact for these scales, so the translated
+        # simplex stays regular to the last bit
+        vertices = scale * np.eye(n + 1) + offset
+        if move is not None:
+            # one coordinate of one vertex: only the edge to vertex c moves
+            # to first order (by delta / 2), the others by delta^2 / 4
+            k, c, delta, up = move
+            vertices[k % (n + 1), c % (n + 1)] += (delta if up else -delta) * scale
+        edge = scale * math.sqrt(2.0)
+        want = reference_simplex_error(n, edge, vertices, geometry._REL_TOL)
+        assert _simplex_error(n, edge, vertices) == want
+        assert (want is None) == (move is None)
+
+    @pytest.mark.parametrize("n", [2, 5, 11])
+    def test_translated_standard_embedding(self, n):
+        # a + 1e6 rounds each coordinate: both checks see the same rounded edges
+        vertices = regular_simplex(n, 2.0).vertices + 1e6
+        want = reference_simplex_error(n, 2.0, vertices, geometry._REL_TOL)
+        assert _simplex_error(n, 2.0, vertices) == want
+
+    def test_nearly_coincident_vertices(self):
+        # a rotated simplex with vertex 3 moved to 1e-14 from vertex 1: the
+        # Gram formula's squared edge (1, 3) can round below zero, and the
+        # edge is still named, not left to the rank check
+        q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))
+        vertices = q.copy()
+        vertices[3] = vertices[1] + 1e-14
+        want = reference_simplex_error(3, math.sqrt(2.0), vertices, geometry._REL_TOL)
+        assert want.startswith("vertices 1, 3 are ")
+        assert _simplex_error(3, math.sqrt(2.0), vertices) == want
+
+    @pytest.mark.parametrize("case", ["coincident", "collinear", "repeated vertex"])
+    def test_rank_deficient(self, monkeypatch, case):
+        n = 3
+        if case == "coincident":
+            vertices = np.ones((n + 1, n + 1))
+        elif case == "collinear":
+            vertices = np.outer(np.arange(n + 1.0), np.ones(n + 1))
+        else:
+            vertices = np.eye(n + 1)
+            vertices[3] = vertices[1]
+        for rel_tol in (geometry._REL_TOL, 10.0):
+            # a tolerance of 10 passes every edge and leaves the rank check
+            monkeypatch.setattr(geometry, "_REL_TOL", rel_tol)
+            want = reference_simplex_error(n, math.sqrt(2.0), vertices, rel_tol)
+            assert want is not None
+            assert _simplex_error(n, math.sqrt(2.0), vertices) == want
+        assert want == "vertices do not span an n-dimensional affine hull"
+
+    def test_names_the_first_bad_pair_in_row_major_order(self):
+        # only the edges (0, 4) and (1, 2) move; by columns (1, 2) comes first
+        vertices = np.eye(5)
+        vertices[4, 0] += 1e-7
+        vertices[2, 1] -= 1e-7  # the other edges at 2 move by 1e-14 / 4
+        error = _simplex_error(4, math.sqrt(2.0), vertices)
+        assert error.startswith("vertices 0, 4 are ")
+        assert error == reference_simplex_error(4, math.sqrt(2.0), vertices, geometry._REL_TOL)
+
+
 class TestRelationResidual:
     def test_at_a_vertex(self):
         s = regular_simplex(3, 1.5)
@@ -69,6 +153,25 @@ class TestRelationResidual:
         s = regular_simplex(2, 8.0)
         dt = relation_residual(s, [1.0 / 3.0] * 3)
         assert abs(dt.residual) < 1e-9
+
+    @given(n=st.integers(2, 12) | st.just(200), edge=st.floats(0.01, 100.0),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_distances_match_per_vertex_norms(self, n, edge, seed):
+        s = regular_simplex(n, edge)
+        weights = random_affine_weights(n, Random(seed))
+        point = np.asarray(weights, dtype=float) @ s.vertices
+        want = tuple(float(np.linalg.norm(point - v)) for v in s.vertices)
+        assert relation_residual(s, weights).distances == want  # bit for bit
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_refused(self, bad):
+        s = regular_simplex(2, 1.0)
+        for weights in ([bad, 0.5, 0.5], [0.5, bad, 0.5], [0.5, 0.5, bad]):
+            with pytest.raises(ValueError, match="weights must be finite"):
+                relation_residual(s, weights)
+        with pytest.raises(ValueError, match="weights must be finite"):
+            relation_residual(s, [math.inf, -math.inf, 1.0])
 
     def test_weights_must_sum_to_one(self):
         s = regular_simplex(2, 1.0)
