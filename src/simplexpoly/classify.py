@@ -110,14 +110,10 @@ def _mod_2(p: Polynomial) -> Optional[Polynomial]:
 
     None when a coefficient has an even denominator and so no residue.
     """
-    terms = {}
-    for exps, c in p.terms.items():
-        frac: Fraction = c.value
-        if frac.denominator % 2 == 0:
-            return None
-        if frac.numerator % 2:
-            terms[exps] = p.field.one()
-    return Polynomial(p.field, p.arity, terms)
+    if any(c.value.denominator % 2 == 0 for c in p.terms.values()):
+        return None
+    one, zero = p.field.one(), p.field.zero()
+    return p.map_coefficients(lambda c: one if c.value.numerator % 2 else zero)
 
 
 def _product_mod_2(cert: FactorizationCertificate) -> Optional[Polynomial]:
@@ -134,8 +130,7 @@ def _product_mod_2(cert: FactorizationCertificate) -> Optional[Polynomial]:
                 product = _mod_2(product * base)
             n //= 2
             if n:  # mod 2 the cross terms of a square vanish (Frobenius)
-                doubled = {tuple(2 * e for e in exps): c for exps, c in base.terms.items()}
-                base = Polynomial(base.field, base.arity, doubled)
+                base = base.inflate(2)
     return product
 
 

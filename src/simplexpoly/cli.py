@@ -115,7 +115,7 @@ def _poly_payload(p: Polynomial, names: Sequence[str]) -> Dict[str, object]:
         "term_count": len(p.terms),
         "terms": [
             {"monomial": e, "coefficient": coefficient(c)}
-            for e, c in sorted(p.terms.items(), reverse=True)
+            for e, c in p.terms_descending()
         ],
     }
 
@@ -184,7 +184,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
             raise UsageError("special requires --n and --rule")
         p = special_family_substitution(args.n, SubstitutionRule(args.rule), field)
         names = default_names(args.n + 1)
-    return _emit(args, _poly_payload(p, names))
+    payload = _poly_payload(p, names)
+    del p  # the payload holds its own monomials: free the polynomial before encoding
+    return _emit(args, payload)
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -251,16 +253,18 @@ def cmd_geometry(args: argparse.Namespace) -> int:
             )
         simplex = regular_simplex(args.n, args.a)
         rng = Random(args.seed)
-        residuals = [
-            relation_residual(simplex, random_affine_weights(args.n, rng)).residual
-            for _ in range(args.samples)
-        ]
+        first, peak = [], 0.0  # peak is max(0.0, |r| over all r): a NaN never wins
+        for _ in range(args.samples):
+            r = relation_residual(simplex, random_affine_weights(args.n, rng)).residual
+            if len(first) < 10:
+                first.append(r)
+            peak = max(peak, abs(r))
         payload: Dict[str, object] = {
             "n": args.n,
             "edge": args.a,
             "samples": args.samples,
-            "max_abs_residual": max(0.0, *map(abs, residuals)),
-            "first_residuals": residuals[:10],
+            "max_abs_residual": peak,
+            "first_residuals": first,
         }
         return _emit(args, payload)
     known = [float(v) for v in args.known.split(",")]

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Callable, ClassVar, Dict, List, Tuple
 
 from .field import RATIONAL, FieldElement, FieldSpec
-from .poly import Monomial, Polynomial
+from .poly import Polynomial, Powers
 
 
 class InternalCheckError(RuntimeError):
@@ -55,31 +55,15 @@ def build_g(params: GParams) -> Polynomial:
     a2 = params.a**2
     one_minus_t = field.one() - params.t
     two = field.from_int(2)
-    constant = a2 * a2 * one_minus_t
     square = two * a2
-    # one exponent list, set and reset around each term: cheaper than
-    # slicing a fresh tuple together for each of the (m+1)(m+2)/2 terms
-    exps = [0] * m
-    terms: Dict[Monomial, FieldElement] = {}
-    if not constant.is_zero():
-        terms[tuple(exps)] = constant
-    if not square.is_zero():
-        for i in range(m):
-            exps[i] = 2
-            terms[tuple(exps)] = square
-            exps[i] = 0
-    quartic = not one_minus_t.is_zero()
+    terms: Dict[Powers, FieldElement] = {(): a2 * a2 * one_minus_t}
     for i in range(m):
-        if quartic:
-            exps[i] = 4
-            terms[tuple(exps)] = one_minus_t
-        exps[i] = 2
+        terms[((i, 2),)] = square
+    for i in range(m):
+        terms[((i, 4),)] = one_minus_t
         for j in range(i + 1, m):
-            exps[j] = 2
-            terms[tuple(exps)] = two
-            exps[j] = 0
-        exps[i] = 0
-    return Polynomial(field, m, terms)
+            terms[((i, 2), (j, 2))] = two
+    return Polynomial.from_powers(field, m, terms)
 
 
 def build_f(field: FieldSpec, m: int, t) -> Polynomial:
@@ -117,7 +101,7 @@ def discriminant_check(field: FieldSpec, m: int, t) -> bool:
         stripped = list(exps)
         stripped[v_pos] = 0
         coeffs[e][tuple(stripped)] = c
-    a0, a1, a2 = (Polynomial(field, m, coeffs[e]) for e in range(3))
+    a0, a1, a2 = (Polynomial.from_terms(field, m, coeffs[e]) for e in range(3))
     disc = a1 * a1 - a2 * a0 * 4
 
     u = Polynomial.variable(field, m, m - 2)
@@ -232,13 +216,8 @@ def _bordered_determinant(
         return result
 
     det = minor(tuple(range(size)))
-    images = {c: field.from_int(c) for c in set(det.values())}
-    terms = {
-        tuple(key.to_bytes(arity, "little")): images[c]
-        for key, c in det.items()
-        if not images[c].is_zero()
-    }
-    return Polynomial(field, arity, terms)
+    memo.clear()  # free the minors before the determinant is converted
+    return Polynomial.from_packed(field, arity, det)
 
 
 def cayley_menger(n: int, field: FieldSpec = RATIONAL) -> Polynomial:

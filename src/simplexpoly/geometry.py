@@ -22,6 +22,10 @@ import numpy as np
 _REL_TOL = 1e-12
 _WEIGHT_SUM_TOL = 1e-9
 _REALIZE_TOL = 1e-6  # relative slack of the planar placement in realize_in_plane
+# nonzero lengths accepted: the relation's fourth powers, and their sums and
+# squared sums at n = 1000, stay normal floats (a length above about 1e77 or
+# below about 1e-77 has a fourth power that does not)
+_LENGTHS = (1e-70, 1e70)
 
 
 @dataclass(frozen=True)
@@ -66,6 +70,8 @@ def regular_simplex(n: int, a: float) -> RegularSimplex:
         raise ValueError(f"simplex dimension must be at least 2, got {n}")
     if not (a > 0 and math.isfinite(a)):
         raise ValueError(f"edge length must be positive and finite, got {a}")
+    if not _LENGTHS[0] <= a <= _LENGTHS[1]:
+        raise ValueError(f"edge length must lie in [{_LENGTHS[0]:g}, {_LENGTHS[1]:g}], got {a}")
     vertices = (a / math.sqrt(2.0)) * np.eye(n + 1)
     return RegularSimplex(n, a, vertices)
 
@@ -129,6 +135,8 @@ def solve_fourth_distance(known: Sequence[float]) -> List[float]:
         raise ValueError(f"exactly three known values required, got {len(known)}")
     if any(k < 0 or not math.isfinite(k) for k in known):
         raise ValueError("known values must be nonnegative and finite")
+    if any(k and not _LENGTHS[0] <= k <= _LENGTHS[1] for k in known):
+        raise ValueError(f"nonzero known values must lie in [{_LENGTHS[0]:g}, {_LENGTHS[1]:g}]")
     c = sum(k * k for k in known)
     d = sum(k**4 for k in known)
     disc = 3.0 * (c * c - 2.0 * d)

@@ -38,7 +38,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .field import PRIME_KIND
-from .poly import Monomial, Polynomial, grlex_key
+from .poly import Monomial, Polynomial
 
 _CHUNK = 1 << 18  # most indices one filter step holds
 _LINES = 8  # filter lines on which the input does not vanish
@@ -94,14 +94,13 @@ SearchOutcome = Union[FactorFound, NoFactorFound, BudgetExceeded]
 def _monomials_desc(arity: int, degree: int, exact: bool) -> List[Monomial]:
     """Monomials of total degree == degree (exact) or <= degree, descending grlex."""
     monos: List[Monomial] = []
-    degrees = [degree] if exact else list(range(degree + 1))
-    for d in degrees:
+    # within one degree, ascending combinations give descending exponent tuples
+    for d in [degree] if exact else range(degree, -1, -1):
         for combo in combinations_with_replacement(range(arity), d):
             exps = [0] * arity
             for i in combo:
                 exps[i] += 1
             monos.append(tuple(exps))
-    monos.sort(key=grlex_key, reverse=True)
     return monos
 
 
@@ -350,7 +349,7 @@ class _Search:
                 _check_deadline(self.deadline)
                 coeffs = top.tolist() + tail
                 terms = {m: p.field.from_int(c) for m, c in zip(monos, coeffs) if c}
-                cand = Polynomial(p.field, p.arity, terms)
+                cand = Polynomial.from_terms(p.field, p.arity, terms)
                 quotient = p.exact_divide(cand)
                 if quotient is not None:
                     yield int(places @ coeffs), FactorFound(cand, quotient)

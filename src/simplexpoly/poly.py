@@ -7,17 +7,24 @@ total degree first, then the exponent tuple with earlier positions more
 significant. The zero polynomial is the empty term map and its degree is
 None, never -1.
 
+A monomial is stored as the key ``(degree, -v1, e1, -v2, e2, ...)`` of its
+nonzero exponents, positions v1 < v2 < ..., so plain tuple order is grlex
+and a term costs time in its variables, not in the arity. Keys stay in this
+module; ``Polynomial.terms`` is a read-only view keyed by exponent tuples.
+
 Values are immutable and operations pure; instances can be shared between
-threads. Do not mutate a ``terms`` mapping after construction.
+threads.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dataclass_field
+from functools import cache
 from itertools import compress
-from operator import add
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple, TypeVar
+from operator import itemgetter, neg
+from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple, TypeVar
 
 from .field import (
     CYCLOTOMIC_KIND,
@@ -28,44 +35,130 @@ from .field import (
 )
 
 Monomial = Tuple[int, ...]
+_Key = Tuple[int, ...]  # the stored form of a monomial
+Powers = Tuple[Tuple[int, int], ...]  # (position, exponent) pairs, positions ascending
 T = TypeVar("T")
-
-
-def grlex_key(exps: Monomial) -> tuple:
-    """Sort key for the graded-lexicographic order."""
-    return (sum(exps), exps)
+_ONE: _Key = (0,)
 
 
 def default_names(arity: int) -> Tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(arity))
 
 
+def _encode(powers: Iterable[Tuple[int, int]]) -> _Key:
+    """The key of the product of x_v^e over (v, e) pairs, v ascending and e > 0."""
+    key = [0]
+    for v, e in powers:
+        key += (-v, e)
+        key[0] += e
+    return tuple(key)
+
+
+def _key(exps: Sequence[int]) -> _Key:
+    key = [sum(exps)]
+    for v in compress(range(len(exps)), exps):
+        key += (-v, exps[v])
+    return tuple(key)
+
+
+def _exps(key: _Key, arity: int) -> Monomial:
+    exps = [0] * arity
+    for i in range(1, len(key), 2):
+        exps[-key[i]] = key[i + 1]
+    return tuple(exps)
+
+
+def _times(a: _Key, b: _Key) -> _Key:
+    """The key of the product of two monomials: their pairs merged by position."""
+    if len(a) == 1:
+        return b
+    if len(b) == 1:
+        return a
+    out = [a[0] + b[0]]
+    i, j, na, nb = 1, 1, len(a), len(b)
+    while i < na and j < nb:
+        if a[i] == b[j]:
+            out += (a[i], a[i + 1] + b[j + 1])
+            i, j = i + 2, j + 2
+        elif a[i] > b[j]:  # a's variable comes first
+            out += a[i : i + 2]
+            i += 2
+        else:
+            out += b[j : j + 2]
+            j += 2
+    out += a[i:]
+    out += b[j:]
+    return tuple(out)
+
+
+def _over(a: _Key, b: _Key) -> Optional[_Key]:
+    """The key of a / b, or None when b does not divide a."""
+    powers = dict(zip(a[1::2], a[2::2]))  # -v: e, in a's order
+    for v, e in zip(b[1::2], b[2::2]):
+        if powers.get(v, 0) < e:
+            return None
+        powers[v] -= e
+    return _encode((-v, e) for v, e in powers.items() if e)
+
+
 def _accumulate(
-    terms: Dict[Monomial, FieldElement],
-    items: Iterable[Tuple[Monomial, FieldElement]],
-) -> Dict[Monomial, FieldElement]:
+    terms: Dict[_Key, FieldElement],
+    items: Iterable[Tuple[_Key, FieldElement]],
+) -> Dict[_Key, FieldElement]:
     """Add each (monomial, coefficient) of items into terms, dropping zeros."""
-    for exps, c in items:
-        prev = terms.get(exps)
+    for key, c in items:
+        prev = terms.get(key)
         if prev is not None:
             c = prev + c
         if c.is_zero():
-            terms.pop(exps, None)
+            terms.pop(key, None)
         else:
-            terms[exps] = c
+            terms[key] = c
     return terms
+
+
+class _Terms(Mapping):
+    """Read-only view of a polynomial's terms keyed by exponent tuples; each key
+    is converted when it is read, and ``len`` is the store's."""
+
+    __slots__ = ("_store", "_arity")
+
+    def __init__(self, store: Dict[_Key, FieldElement], arity: int) -> None:
+        self._store, self._arity = store, arity
+
+    def __len__(self) -> int:
+        return len(self._store)
+
+    def __iter__(self) -> Iterator[Monomial]:
+        return (_exps(key, self._arity) for key in self._store)
+
+    def __getitem__(self, exps: Monomial) -> FieldElement:
+        if not isinstance(exps, tuple) or len(exps) != self._arity:
+            raise KeyError(exps)
+        return self._store[_key(exps)]
+
+    def values(self):
+        return self._store.values()
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    """A sparse multivariate polynomial over one of the supported fields."""
+    """A sparse multivariate polynomial over one of the supported fields.
+
+    Build one with the static constructors or the ring operations: the
+    third field holds this module's keys, not exponent tuples."""
 
     field: FieldSpec
     arity: int
-    terms: Mapping[Monomial, FieldElement] = dataclass_field(default_factory=dict)
+    _store: Dict[_Key, FieldElement] = dataclass_field(default_factory=dict)
 
     def __hash__(self) -> int:
-        return hash((self.field, self.arity, frozenset(self.terms.items())))
+        return hash((self.field, self.arity, frozenset(self._store.items())))
+
+    @property
+    def terms(self) -> Mapping:
+        """The terms, as a read-only map from exponent tuples to coefficients."""
+        return _Terms(self._store, self.arity)
 
     # -- constructors --------------------------------------------------------
 
@@ -74,7 +167,7 @@ class Polynomial:
         field: FieldSpec, arity: int, raw: Mapping[Monomial, FieldElement]
     ) -> "Polynomial":
         """Canonical constructor: validates exponents and prunes zeros."""
-        terms: Dict[Monomial, FieldElement] = {}
+        terms: Dict[_Key, FieldElement] = {}
         for exps, c in raw.items():
             exps = tuple(exps)
             if len(exps) != arity or any(e < 0 for e in exps):
@@ -82,7 +175,37 @@ class Polynomial:
             if c.spec != field:
                 raise ValueError(f"coefficient field {c.spec} does not match {field}")
             if not c.is_zero():
-                terms[exps] = c
+                terms[_key(exps)] = c
+        return Polynomial(field, arity, terms)
+
+    @staticmethod
+    def from_powers(
+        field: FieldSpec, arity: int, raw: Mapping[Powers, FieldElement]
+    ) -> "Polynomial":
+        """Unchecked constructor from monomials given as their (position,
+        exponent) pairs, positions ascending and exponents positive; prunes zeros."""
+        return Polynomial(
+            field, arity, {_encode(powers): c for powers, c in raw.items() if not c.is_zero()}
+        )
+
+    @staticmethod
+    def from_packed(field: FieldSpec, arity: int, raw: Mapping[int, int]) -> "Polynomial":
+        """Unchecked constructor from integer coefficients, mapped into the
+        field (one object per value), of monomials packed into ints, one byte
+        per exponent with the first position lowest; prunes zeros."""
+        # many monomials share their lower or their upper half of positions
+        # with others, so each half is decoded once
+        low = (1 << 8 * (arity // 2)) - 1
+        high = ~low
+        halves: Dict[int, _Key] = {}
+        images = {n: c for n in set(raw.values()) if not (c := field.from_int(n)).is_zero()}
+        terms: Dict[_Key, FieldElement] = {}
+        for packed, n in raw.items():
+            if n in images:
+                lo, hi = packed & low, packed & high
+                k1 = halves.get(lo) or halves.setdefault(lo, _key(lo.to_bytes(arity, "little")))
+                k2 = halves.get(hi) or halves.setdefault(hi, _key(hi.to_bytes(arity, "little")))
+                terms[(k1[0] + k2[0],) + k1[1:] + k2[1:]] = images[n]
         return Polynomial(field, arity, terms)
 
     @staticmethod
@@ -94,66 +217,66 @@ class Polynomial:
         c = field.coerce(c)
         if c.is_zero():
             return Polynomial.zero(field, arity)
-        return Polynomial(field, arity, {(0,) * arity: c})
+        return Polynomial(field, arity, {_ONE: c})
 
     @staticmethod
     def diagonal(field: FieldSpec, const, coeffs: Sequence, power: int) -> "Polynomial":
         """const + sum_i coeffs[i] * x_i^power in len(coeffs) variables."""
         if power < 1:
             raise ValueError(f"diagonal power must be at least 1, got {power}")
-        arity = len(coeffs)
-        raw = {(0,) * arity: field.coerce(const)}
+        raw = {(): field.coerce(const)}
         for i, c in enumerate(coeffs):
-            raw[(0,) * i + (power,) + (0,) * (arity - 1 - i)] = field.coerce(c)
-        return Polynomial.from_terms(field, arity, raw)
+            raw[((i, power),)] = field.coerce(c)
+        return Polynomial.from_powers(field, len(coeffs), raw)
 
     @staticmethod
     def variable(field: FieldSpec, arity: int, i: int, power: int = 1) -> "Polynomial":
         if not 0 <= i < arity:
             raise ValueError(f"variable index {i} out of range for arity {arity}")
-        exps = tuple(power if j == i else 0 for j in range(arity))
-        return Polynomial(field, arity, {exps: field.one()})
+        return Polynomial(field, arity, {_encode([(i, power)] if power else []): field.one()})
 
     # -- basic queries --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._store
 
     def degree(self) -> Optional[int]:
         """Total degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
+        return max(self._store)[0] if self._store else None
 
     def coefficient(self, exps: Monomial) -> FieldElement:
         return self.terms.get(tuple(exps), self.field.zero())
 
-    def leading_monomial(self) -> Monomial:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=grlex_key)
-
     def leading_coefficient(self) -> FieldElement:
-        return self.terms[self.leading_monomial()]
+        if not self._store:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self._store[max(self._store)]
 
     def is_homogeneous(self) -> Tuple[bool, Optional[int]]:
         """(flag, degree); the zero polynomial is homogeneous of degree None."""
-        if not self.terms:
+        if not self._store:
             return True, None
-        degrees = {sum(e) for e in self.terms}
+        degrees = {key[0] for key in self._store}
         if len(degrees) == 1:
             return True, degrees.pop()
         return False, None
 
     def leading_homogeneous_component(self) -> "Polynomial":
         """Sum of the terms of maximal total degree (errors on zero input)."""
-        if not self.terms:
+        if not self._store:
             raise ValueError("zero polynomial has no leading homogeneous component")
         d = self.degree()
         return Polynomial(
-            self.field,
-            self.arity,
-            {e: c for e, c in self.terms.items() if sum(e) == d},
+            self.field, self.arity, {k: c for k, c in self._store.items() if k[0] == d}
+        )
+
+    def terms_descending(self) -> Iterator[Tuple[Monomial, FieldElement]]:
+        """(exponent tuple, coefficient) pairs, exponent tuples descending
+        lexicographically (not grlex): a key without its degree sorts so."""
+        store = self._store
+        return (
+            (_exps(key, self.arity), store[key])
+            for key in sorted(store, key=itemgetter(slice(1, None)), reverse=True)
         )
 
     # -- ring operations -------------------------------------------------------
@@ -167,26 +290,24 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
-        terms = _accumulate(dict(self.terms), other.terms.items())
+        terms = _accumulate(dict(self._store), other._store.items())
         return Polynomial(self.field, self.arity, terms)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(
-            self.field, self.arity, {e: -c for e, c in self.terms.items()}
-        )
+        return self.map_coefficients(neg)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def scale(self, c) -> "Polynomial":
         c = self.field.coerce(c)
-        if c.is_one():
-            return self
-        if c.is_zero():
-            return Polynomial.zero(self.field, self.arity)
-        return Polynomial(
-            self.field, self.arity, {e: k * c for e, k in self.terms.items()}
-        )
+        return self if c.is_one() else self.map_coefficients(lambda k: k * c)
+
+    def map_coefficients(self, f: Callable[[FieldElement], FieldElement]) -> "Polynomial":
+        """The polynomial with each coefficient c replaced by f(c), zeros pruned."""
+        return Polynomial(self.field, self.arity, {
+            key: fc for key, c in self._store.items() if not (fc := f(c)).is_zero()
+        })
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -195,9 +316,9 @@ class Polynomial:
         acc = _accumulate(
             {},
             (
-                (tuple(map(add, e1, e2)), c1 * c2)
-                for e1, c1 in self.terms.items()
-                for e2, c2 in other.terms.items()
+                (_times(e1, e2), c1 * c2)
+                for e1, c1 in self._store.items()
+                for e2, c2 in other._store.items()
             ),
         )
         return Polynomial(self.field, self.arity, acc)
@@ -213,29 +334,21 @@ class Polynomial:
 
     # -- structural operations ---------------------------------------------------
 
-    def evaluate(self, point: Sequence[FieldElement]) -> FieldElement:
-        if len(point) != self.arity:
-            raise ValueError("point arity mismatch")
-        total = self.field.zero()
-        for exps, c in self.terms.items():
-            v = c
-            for x, e in zip(point, exps):
-                if e:
-                    v = v * x**e
-            total = total + v
-        return total
+    def inflate(self, k: int) -> "Polynomial":
+        """p(x_1^k, ..., x_m^k): every exponent multiplied by k >= 1."""
+        return Polynomial(self.field, self.arity, {
+            tuple(e * k if i % 2 == 0 else e for i, e in enumerate(key)): c
+            for key, c in self._store.items()
+        })
 
     def permute_variables(self, perm: Sequence[int]) -> "Polynomial":
         """Apply the ring automorphism x_i -> x_perm[i]."""
         if sorted(perm) != list(range(self.arity)):
             raise ValueError(f"not a permutation of {self.arity} positions: {perm}")
-        terms: Dict[Monomial, FieldElement] = {}
-        for exps, c in self.terms.items():
-            new = [0] * self.arity
-            for i, e in enumerate(exps):
-                new[perm[i]] = e
-            terms[tuple(new)] = c
-        return Polynomial(self.field, self.arity, terms)
+        return Polynomial(self.field, self.arity, {
+            _encode(sorted(zip([perm[-v] for v in key[1::2]], key[2::2]))): c
+            for key, c in self._store.items()
+        })
 
     def exact_divide(self, d: "Polynomial") -> Optional["Polynomial"]:
         """Quotient self/d when d divides exactly, else None.
@@ -246,23 +359,19 @@ class Polynomial:
         self._check_ring(d)
         if d.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return Polynomial.zero(self.field, self.arity)
-        dlm = d.leading_monomial()
-        dlc = d.terms[dlm]
-        rem = dict(self.terms)
-        quot: Dict[Monomial, FieldElement] = {}
+        dlm = max(d._store)
+        dlc = d._store[dlm]
+        rem = dict(self._store)
+        quot: Dict[_Key, FieldElement] = {}
         while rem:
-            rlm = max(rem, key=grlex_key)
-            shift = tuple(a - b for a, b in zip(rlm, dlm))
-            if any(e < 0 for e in shift):
+            rlm = max(rem)
+            shift = _over(rlm, dlm)
+            if shift is None:
                 return None
             c = rem[rlm] / dlc
             quot[shift] = c
             neg_c = -c
-            _accumulate(
-                rem, ((tuple(map(add, shift, e)), neg_c * k) for e, k in d.terms.items())
-            )
+            _accumulate(rem, ((_times(shift, e), neg_c * k) for e, k in d._store.items()))
         return Polynomial(self.field, self.arity, quot)
 
     def symmetric_reduce(self, i: int, j: int) -> Optional["Polynomial"]:
@@ -285,24 +394,17 @@ class Polynomial:
         v = Polynomial.variable(self.field, self.arity, j)
         two = Polynomial.constant(self.field, self.arity, 2)
         power_sums = [two, u]
-
-        def power_sum(d: int) -> Polynomial:
-            while len(power_sums) <= d:
-                power_sums.append(
-                    u * power_sums[-1] - v * power_sums[-2]
-                )
-            return power_sums[d]
-
-        acc: Dict[Monomial, FieldElement] = {}
+        acc: Dict[_Key, FieldElement] = {}
         for exps, c in self.terms.items():
             k, l = exps[i], exps[j]
             if k < l:
                 continue  # mirror of a (k > l) term already handled
+            while len(power_sums) <= k - l:
+                power_sums.append(u * power_sums[-1] - v * power_sums[-2])
             rest = list(exps)
-            rest[i] = 0
-            rest[j] = l if k > l else k
-            base = Polynomial(self.field, self.arity, {tuple(rest): c})
-            _accumulate(acc, (base * power_sum(k - l) if k > l else base).terms.items())
+            rest[i], rest[j] = 0, l
+            base = Polynomial(self.field, self.arity, {_key(rest): c})
+            _accumulate(acc, (base * power_sums[k - l] if k > l else base)._store.items())
         return Polynomial(self.field, self.arity, acc)
 
     def __str__(self) -> str:
@@ -355,14 +457,16 @@ def poly_to_text(p: Polynomial, names: Optional[Sequence[str]] = None) -> str:
     if p.is_zero():
         return "0"
     signed = coefficient_texts(_signed_text)
+    factor = cache(lambda ve: names[-ve[0]] if ve[1] == 1 else f"{names[-ve[0]]}^{ve[1]}")
     pieces = []
-    for exps, c in sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
-        sep, mag, lead = signed(c)
-        factors = [
-            name if e == 1 else f"{name}^{e}"
-            for name, e in compress(zip(names, exps), exps)
-        ]
-        pieces += (sep, lead + "*".join(factors) if factors else mag)
+    store = p._store
+    for key in sorted(store, reverse=True):  # sorting keys is cheaper than sorting items
+        sep, mag, lead = signed(store[key])
+        if len(key) == 1:
+            pieces += (sep, mag)
+            continue
+        pairs = iter(key[1:])
+        pieces += (sep, lead + "*".join(map(factor, zip(pairs, pairs))))
     pieces[0] = "-" if pieces[0] == " - " else ""
     return "".join(pieces)
 
@@ -392,13 +496,12 @@ def parse_polynomial(
     compact = text.replace(" ", "")
     if not compact:
         raise ValueError("empty polynomial text")
-    terms: Dict[Monomial, FieldElement] = {}
+    terms: Dict[_Key, FieldElement] = {}
     for raw in _split_terms(compact):
         if not raw:
             continue
-        sign = 1
+        negative = raw[0] == "-"
         if raw[0] in "+-":
-            sign = -1 if raw[0] == "-" else 1
             raw = raw[1:]
         if not raw:
             raise ValueError("dangling sign in polynomial text")
@@ -425,7 +528,7 @@ def parse_polynomial(
                 coeff = coeff * parse_element(field, factor[1:-1])
             else:
                 coeff = coeff * parse_element(field, factor)
-        if sign < 0:
+        if negative:
             coeff = -coeff
-        _accumulate(terms, [(tuple(exps), coeff)])
+        _accumulate(terms, [(_key(exps), coeff)])
     return Polynomial(field, arity, terms)

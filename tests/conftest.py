@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 from random import Random
 from itertools import compress
+from operator import add
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,7 +24,7 @@ from simplexpoly.field import (
     prime_field,
 )
 from simplexpoly.geometry import quadruple_residual
-from simplexpoly.poly import Polynomial, _accumulate, default_names, grlex_key
+from simplexpoly.poly import Monomial, Polynomial, _accumulate, default_names
 
 ALL_FIELDS = [RATIONAL, prime_field(3), prime_field(5), prime_field(7), CYCLOTOMIC]
 
@@ -89,6 +90,25 @@ def random_polynomial(
             return p
 
 
+def grlex_key(exps: Monomial) -> tuple:
+    """Sort key for the graded-lexicographic order on exponent tuples."""
+    return (sum(exps), exps)
+
+
+def evaluate(p: Polynomial, point: Sequence[FieldElement]) -> FieldElement:
+    """The value of p at point, term by term over the dense exponent tuples."""
+    if len(point) != p.arity:
+        raise ValueError("point arity mismatch")
+    total = p.field.zero()
+    for exps, c in p.terms.items():
+        v = c
+        for x, e in zip(point, exps):
+            if e:
+                v = v * x**e
+        total = total + v
+    return total
+
+
 def substitute(
     p: Polynomial, images: Mapping[int, Polynomial], arity: Optional[int] = None
 ) -> Polynomial:
@@ -123,7 +143,7 @@ def substitute(
             if e:
                 term = term * power(i, e)
         _accumulate(acc, term.terms.items())
-    return Polynomial(p.field, target_arity, acc)
+    return Polynomial.from_terms(p.field, target_arity, acc)
 
 
 def reference_bordered_determinant(
@@ -236,6 +256,97 @@ def polynomials_with_names(draw) -> Tuple[Polynomial, Optional[Tuple[str, ...]]]
     names = draw(st.none() | st.lists(st.sampled_from(TEXT_NAMES), min_size=arity,
                                       max_size=arity, unique=True).map(tuple))
     return Polynomial.from_terms(field, arity, raw), names
+
+
+# -- dense reference arithmetic ---------------------------------------------------
+#
+# Polynomials as plain {exponent tuple: coefficient} dicts, the store of the
+# library before monomials were kept sparse; the differential tests in
+# test_poly.py compare the library with these.
+
+Dense = Dict[Monomial, FieldElement]
+
+
+def dense_accumulate(terms: Dense, items) -> Dense:
+    for exps, c in items:
+        c = terms[exps] + c if exps in terms else c
+        if c.is_zero():
+            terms.pop(exps, None)
+        else:
+            terms[exps] = c
+    return terms
+
+
+def dense_mul(a: Dense, b: Dense) -> Dense:
+    return dense_accumulate(
+        {}, ((tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in a.items() for e2, c2 in b.items())
+    )
+
+
+def dense_divide(a: Dense, d: Dense) -> Optional[Dense]:
+    """a / d by division under grlex, or None when the remainder is not zero."""
+    dlm = max(d, key=grlex_key)
+    rem, quot = dict(a), {}
+    while rem:
+        rlm = max(rem, key=grlex_key)
+        shift = tuple(x - y for x, y in zip(rlm, dlm))
+        if min(shift) < 0:
+            return None
+        c = quot[shift] = rem[rlm] / d[dlm]
+        dense_accumulate(rem, ((tuple(map(add, shift, e)), -c * k) for e, k in d.items()))
+    return quot
+
+
+def dense_symmetric_reduce(
+    a: Dense, field: FieldSpec, arity: int, i: int, j: int
+) -> Optional[Dense]:
+    """Polynomial.symmetric_reduce, on exponent tuples throughout."""
+
+    def swap(e: Monomial) -> Monomial:
+        e = list(e)
+        e[i], e[j] = e[j], e[i]
+        return tuple(e)
+
+    if {swap(e): c for e, c in a.items()} != a:
+        return None
+    unit = [tuple(int(k == v) for k in range(arity)) for v in (i, j)]
+    u, v = ({e: field.one()} for e in unit)
+    sums = [{(0,) * arity: field.from_int(2)}, u]
+    acc: Dense = {}
+    for e, c in a.items():
+        k, l = e[i], e[j]
+        if k < l:
+            continue
+        while len(sums) <= k - l:
+            sums.append(dense_accumulate(dense_mul(u, sums[-1]),
+                                         ((e2, -c2) for e2, c2 in dense_mul(v, sums[-2]).items())))
+        rest = list(e)
+        rest[i], rest[j] = 0, l
+        base = {tuple(rest): c}
+        dense_accumulate(acc, (dense_mul(base, sums[k - l]) if k > l else base).items())
+    return acc
+
+
+DIFFERENTIAL_FIELDS = [RATIONAL, prime_field(7), CYCLOTOMIC]
+
+
+@st.composite
+def dense_polynomials(draw, field: FieldSpec, arity: int, max_terms: int = 6) -> Dense:
+    """Up to max_terms terms with exponents 0..6; zero coefficients are drawn
+    too, and dropped, so the term order is that of the draw."""
+    small = st.integers(-3, 3)
+    raw = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = tuple(draw(st.lists(st.integers(0, 6), min_size=arity, max_size=arity)))
+        num, den, w_part = draw(small), draw(st.integers(1, 3)), draw(small)
+        if field.kind == CYCLOTOMIC_KIND:
+            raw[exps] = field.omega_element(Fraction(num, den), w_part)
+        else:
+            raw[exps] = field.from_fraction(Fraction(num, den))
+    return {e: c for e, c in raw.items() if not c.is_zero()}
+
+
+polynomial_rings = st.tuples(st.sampled_from(DIFFERENTIAL_FIELDS), st.integers(1, 6))
 
 
 def reference_simplex_error(n: int, edge: float, vertices: np.ndarray, rel_tol: float) -> Optional[str]:

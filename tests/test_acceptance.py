@@ -45,6 +45,8 @@ from simplexpoly.geometry import (
 )
 from simplexpoly.diophantine import enumerate_solutions, is_solution
 
+from conftest import evaluate
+
 Q = RATIONAL
 
 
@@ -122,7 +124,7 @@ def test_criterion_2_cayley_menger_invariants():
         m = cayley_menger(n)
         assert m.is_homogeneous() == (True, 2 * n)
         ones = [Q.one()] * CayleyMengerRing(n).arity
-        assert m.evaluate(ones) == Q.from_int((-1) ** (n - 1) * (n + 1))
+        assert evaluate(m, ones) == Q.from_int((-1) ** (n - 1) * (n + 1))
     _passed(2, "determinants are homogeneous of degree 2n with all-ones value (-1)^(n-1)(n+1), n = 2..5")
 
 

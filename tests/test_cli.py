@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given
@@ -291,6 +292,50 @@ class TestGeometryCommand:
         code, report = run_json(capsys, "geometry", "solve", "--known", "5,7,8")
         assert code == EXIT_OK
         assert any(abs(v - 3.0) < 1e-9 for v in report["payload"]["solutions"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--n", "3", "--a", "1e100", "--samples", "3"],
+            ["solve", "--known", "1e80,1e80,1e80"],
+            ["verify", "--n", "3", "--a", "1e-100", "--samples", "3"],
+            ["verify", "--n", "3", "--a", "1e200", "--samples", "3"],
+            ["solve", "--known", "1e-200,1e-200,1e-200"],
+        ],
+    )
+    def test_lengths_outside_the_float_range_refused(self, capsys, argv):
+        # fourth powers that overflow (an OverflowError, or numpy warnings and
+        # inf distances) or underflow (a division by zero, or the answer [0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["geometry", *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must lie in [1e-70, 1e+70]" in captured.err
+
+    @pytest.mark.parametrize(
+        "residuals",
+        [
+            [float("nan"), -3.0, 1.0, float("nan"), 2.5] + [0.5] * 7 + [-4.0],
+            [float("nan"), float("nan")],
+            [-0.0],
+        ],
+        ids=["nan-first", "all-nan", "negative-zero"],
+    )
+    def test_reported_residuals_as_from_the_full_list(self, monkeypatch, capsys, residuals):
+        # the command keeps the first ten residuals and a running maximum,
+        # which must report what the first ten and max(0.0, |r|...) of the whole list did
+        stream = iter(residuals)
+        monkeypatch.setattr(cli, "random_affine_weights", lambda n, rng: None)
+        monkeypatch.setattr(
+            cli, "relation_residual", lambda simplex, weights: DistanceTuple(1.0, (), next(stream))
+        )
+        code, out = run(capsys, "geometry", "verify", "--n", "2", "--a", "1",
+                        "--samples", str(len(residuals)))
+        assert code == EXIT_OK
+        payload = json.loads(out)["payload"]
+        assert payload["max_abs_residual"] == max(0.0, *map(abs, residuals))
+        assert json.dumps(payload["first_residuals"]) == json.dumps(residuals[:10])
 
 
 class TestDiophantineCommand:

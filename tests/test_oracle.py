@@ -9,7 +9,7 @@ import pytest
 
 from simplexpoly import oracle
 from simplexpoly.field import RATIONAL, prime_field
-from simplexpoly.poly import Polynomial, grlex_key, parse_polynomial, poly_to_text
+from simplexpoly.poly import Polynomial, parse_polynomial, poly_to_text
 from simplexpoly.family import GParams, build_f, build_g, prekite_reduction
 from simplexpoly.classify import FactorizationCertificate, classify_g
 from simplexpoly import discriminant_check
@@ -21,7 +21,7 @@ from simplexpoly.oracle import (
     brute_force_factor_search,
 )
 
-from conftest import random_polynomial
+from conftest import evaluate, grlex_key, random_polynomial
 
 Q = RATIONAL
 F3, F5, F7 = prime_field(3), prime_field(5), prime_field(7)
@@ -462,7 +462,7 @@ def test_line_matrix_restriction_matches_evaluation():
         for y in range(q):
             point = list(coords)
             point.insert(vy, y)
-            value = p.evaluate([field.from_int(v) for v in point])
+            value = evaluate(p, [field.from_int(v) for v in point])
             assert sum(int(c) * y**k for k, c in enumerate(restricted)) % q == value.value
 
 

@@ -3,17 +3,27 @@ from operator import add
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from simplexpoly.field import CYCLOTOMIC, RATIONAL, prime_field
 from simplexpoly.poly import (
     Polynomial,
     _accumulate,
+    _exps,
+    _key,
     parse_polynomial,
     poly_to_text,
 )
 
 from conftest import (
+    dense_accumulate,
+    dense_divide,
+    dense_mul,
+    dense_polynomials,
+    dense_symmetric_reduce,
+    evaluate,
+    grlex_key,
+    polynomial_rings,
     polynomials_with_names,
     random_element,
     random_polynomial,
@@ -103,14 +113,14 @@ class TestRingOps:
                     for e2, c2 in q.terms.items()
                 ),
             )
-            return Polynomial(p.field, p.arity, terms)
+            return Polynomial.from_terms(p.field, p.arity, terms)
 
         rng = Random(13)
         # 1, -1 and other values (F_3 has none: there 2 = -1)
         coefficients = dict.fromkeys(any_field.from_int(k) for k in (1, -1, 2, 4))
         for c in coefficients:
             for exps in [(0, 0, 0), (1, 0, 0), (0, 2, 3), (4, 1, 1)]:
-                monomial = Polynomial(any_field, 3, {exps: c})
+                monomial = Polynomial.from_terms(any_field, 3, {exps: c})
                 for _ in range(10):
                     q = random_polynomial(any_field, 3, rng)
                     expected = general(monomial, q)
@@ -179,7 +189,7 @@ class TestStructure:
     def test_evaluate(self):
         x, y = variables(Q, 2)
         p = x**2 + y.scale(3)
-        assert p.evaluate([Q.from_int(2), Q.from_int(-1)]) == Q.from_int(1)
+        assert evaluate(p, [Q.from_int(2), Q.from_int(-1)]) == Q.from_int(1)
 
 
 class TestSubstitute:
@@ -203,7 +213,7 @@ class TestSubstitute:
         rng = Random(31)
         for _ in range(20):
             half = random_polynomial(any_field, 3, rng, max_exp=2)
-            p = Polynomial(
+            p = Polynomial.from_terms(
                 any_field, 3, {tuple(2 * e for e in exps): c for exps, c in half.terms.items()}
             )
             images = {
@@ -396,3 +406,123 @@ class TestTextFormat:
     def test_signs_units_and_cyclotomic_literals(self, field, build, names, expected):
         p = build(*variables(field, 2))
         assert poly_to_text(p, names) == reference_poly_to_text(p, names) == expected
+
+
+@st.composite
+def ring_and_polynomials(draw, count: int, max_terms: int = 6):
+    field, arity = draw(polynomial_rings)
+    return field, arity, [draw(dense_polynomials(field, arity, max_terms)) for _ in range(count)]
+
+
+def poly(field, arity, dense):
+    return Polynomial.from_terms(field, arity, dense)
+
+
+def dense(p):
+    return dict(p.terms.items())
+
+
+class TestSparseMatchesDense:
+    """The sparse store against the dense reference arithmetic of conftest.py,
+    in 1-6 variables over Q, F_7 and Q(w), exponents up to 6."""
+
+    @given(ring_and_polynomials(2))
+    def test_ring_operations(self, case):
+        field, arity, (a, b) = case
+        p, q = poly(field, arity, a), poly(field, arity, b)
+        negated = {e: -c for e, c in b.items()}
+        assert dense(p + q) == dense_accumulate(dict(a), b.items())
+        assert dense(p - q) == dense_accumulate(dict(a), negated.items())
+        assert dense(p * q) == dense_mul(a, b)
+        assert dense(-q) == negated
+
+    @given(ring_and_polynomials(1, max_terms=4), st.integers(0, 3))
+    def test_power(self, case, n):
+        field, arity, (a,) = case
+        expected = {(0,) * arity: field.one()}
+        for _ in range(n):
+            expected = dense_mul(expected, a)
+        assert dense(poly(field, arity, a) ** n) == expected
+
+    @given(ring_and_polynomials(3))
+    def test_exact_divide(self, case):
+        field, arity, (a, b, d) = case
+        if not d:
+            return
+        product = dense_mul(a, d)
+        assert dense(poly(field, arity, product).exact_divide(poly(field, arity, d))) == a
+        quotient = poly(field, arity, b).exact_divide(poly(field, arity, d))
+        expected = dense_divide(b, d)
+        assert (quotient is None) == (expected is None)
+        if quotient is not None:
+            assert dense(quotient) == expected
+
+    @given(ring_and_polynomials(1), st.data())
+    def test_symmetric_reduce(self, case, data):
+        field, arity, (a,) = case
+        if arity < 2:
+            return
+        i, j = data.draw(st.lists(st.integers(0, arity - 1), min_size=2, max_size=2, unique=True))
+        mirror = {}
+        for e, c in a.items():  # half of the draws made symmetric in (i, j)
+            e = list(e)
+            e[i], e[j] = e[j], e[i]
+            mirror[tuple(e)] = c
+        if data.draw(st.booleans()):
+            a = dense_accumulate(dict(a), mirror.items())
+        reduced = poly(field, arity, a).symmetric_reduce(i, j)
+        expected = dense_symmetric_reduce(a, field, arity, i, j)
+        assert (reduced is None) == (expected is None)
+        if reduced is not None:
+            assert dense(reduced) == expected
+
+    @given(ring_and_polynomials(1), st.integers(1, 3), st.randoms(use_true_random=False))
+    def test_structure(self, case, k, rng):
+        field, arity, (a,) = case
+        p = poly(field, arity, a)
+        degrees = {sum(e) for e in a}
+        assert p.degree() == (max(degrees) if a else None)
+        assert p.is_homogeneous() == ((True, degrees.pop()) if len(degrees) == 1 else (not a, None))
+        if a:
+            top = max(map(sum, a))
+            top_terms = {e: c for e, c in a.items() if sum(e) == top}
+            assert dense(p.leading_homogeneous_component()) == top_terms
+            assert p.leading_coefficient() == a[max(a, key=grlex_key)]
+        assert dense(p.inflate(k)) == {tuple(k * x for x in e): c for e, c in a.items()}
+        perm = rng.sample(range(arity), arity)
+        permuted = {}
+        for e, c in a.items():
+            image = [0] * arity
+            for i, x in enumerate(e):
+                image[perm[i]] = x
+            permuted[tuple(image)] = c
+        assert dense(p.permute_variables(perm)) == permuted
+
+    @given(ring_and_polynomials(1))
+    def test_terms_view(self, case):
+        field, arity, (a,) = case
+        view = poly(field, arity, a).terms
+        assert len(view) == len(a)
+        assert list(view) == list(a)
+        assert list(view.items()) == list(a.items())
+        assert list(view.values()) == list(a.values())
+        assert view == a and a == view
+        assert all(e in view and view[e] == c for e, c in a.items())
+        absent = [(7,) * arity, (0,) * (arity + 1), (1,) * (arity - 1)]
+        assert not any(e in view for e in absent)
+        with pytest.raises(KeyError):
+            view[(7,) * arity]
+
+    @given(ring_and_polynomials(1))
+    def test_text_round_trip(self, case):
+        field, arity, (a,) = case
+        p = poly(field, arity, a)
+        assert parse_polynomial(poly_to_text(p), field, arity) == p
+
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(0, 6)] * n), min_size=2, max_size=2)))
+    def test_key_order_is_grlex(self, pair):
+        a, b = pair
+        assert (_key(a) < _key(b)) == (grlex_key(a) < grlex_key(b))
+        assert (_key(a) == _key(b)) == (a == b)
+        assert _exps(_key(a), len(a)) == a
