@@ -110,10 +110,10 @@ def _mod_2(p: Polynomial) -> Optional[Polynomial]:
 
     None when a coefficient has an even denominator and so no residue.
     """
-    if any(c.value.denominator % 2 == 0 for c in p.terms.values()):
+    try:  # the residue of n/d is n * d^-1 mod 2, and pow refuses an even d
+        return p.map_coefficients(lambda c: c.numerator * pow(c.denominator, -1, 2) % 2)
+    except ValueError:
         return None
-    one, zero = p.field.one(), p.field.zero()
-    return p.map_coefficients(lambda c: one if c.value.numerator % 2 else zero)
 
 
 def _product_mod_2(cert: FactorizationCertificate) -> Optional[Polynomial]:

@@ -106,7 +106,7 @@ def parse_field(text: str) -> Union[FieldSpec, Char2Token]:
 
 
 def _poly_payload(p: Polynomial, names: Sequence[str]) -> Dict[str, object]:
-    coefficient = coefficient_texts(str)
+    coefficient = coefficient_texts(p.field, str)
     return {
         "field": repr(p.field),
         "arity": p.arity,

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Callable, ClassVar, Dict, List, Tuple
 
 from .field import RATIONAL, FieldElement, FieldSpec
-from .poly import Polynomial, Powers
+from .poly import _ONE, Polynomial, _monomial_key
 
 
 class InternalCheckError(RuntimeError):
@@ -49,21 +49,22 @@ def build_g(params: GParams) -> Polynomial:
     """The quartic (a^2 + sum x_i^2)^2 - t (a^4 + sum x_i^4), expanded.
 
     The expansion is a^4 (1-t) + 2a^2 sum x_i^2 + (1-t) sum x_i^4
-    + 2 sum_{i<j} x_i^2 x_j^2, written term by term with zero terms dropped.
+    + 2 sum_{i<j} x_i^2 x_j^2, written term by term; each of the four
+    coefficients is computed, and tested for zero, once.
     """
     field, m = params.field, params.m
     a2 = params.a**2
     one_minus_t = field.one() - params.t
-    two = field.from_int(2)
-    square = two * a2
-    terms: Dict[Powers, FieldElement] = {(): a2 * a2 * one_minus_t}
+    constant, square, fourth = (a2 * a2 * one_minus_t).value, (a2 * 2).value, one_minus_t.value
+    zero, two = field.ops.zero, field.from_int(2).value  # 2 != 0: no field has char 2
+    terms = {_ONE: constant} if constant != zero else {}
+    if square != zero:
+        terms.update(dict.fromkeys([_monomial_key(i, 2) for i in range(m)], square))
     for i in range(m):
-        terms[((i, 2),)] = square
-    for i in range(m):
-        terms[((i, 4),)] = one_minus_t
-        for j in range(i + 1, m):
-            terms[((i, 2), (j, 2))] = two
-    return Polynomial.from_powers(field, m, terms)
+        if fourth != zero:
+            terms[_monomial_key(i, 4)] = fourth
+        terms.update(dict.fromkeys([_monomial_key(i, 2, j, 2) for j in range(i + 1, m)], two))
+    return Polynomial(field, m, terms)
 
 
 def build_f(field: FieldSpec, m: int, t) -> Polynomial:

@@ -1,11 +1,15 @@
 """Exact scalar arithmetic over the three coefficient fields of the classifier.
 
-Supported fields:
+Supported fields, with the payload that stores an element:
 
-* the rationals, backed by ``fractions.Fraction``;
-* prime fields F_p for odd primes p, as canonical residues in [0, p);
-* the quadratic extension Q(w) where w is a primitive cube root of unity,
-  stored on the basis {1, w} with the reduction rule w^2 = -1 - w.
+* the rationals: an ``int`` when integral, else a ``fractions.Fraction``;
+* prime fields F_p for odd primes p: the residue, an ``int`` in [0, p);
+* the quadratic extension Q(w) where w is a primitive cube root of unity:
+  the pair (r, s) of rational payloads meaning r + s*w, w^2 = -1 - w.
+
+``FieldSpec.ops`` holds the ring operations on payloads; ``FieldElement`` (a
+payload with its field) and ``Polynomial`` call them. Equal values compare
+equal, and every division goes through ``Fraction``, never to a float.
 
 All values are immutable and all operations are pure, so elements can be
 shared freely between threads.
@@ -15,8 +19,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from operator import neg
 from typing import Optional, Union
 
 RATIONAL_KIND = "rational"
@@ -53,6 +59,39 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _rational(x: Union[int, Fraction]) -> Union[int, Fraction]:
+    """x as a rational payload: an int when it is integral."""
+    return x if x.__class__ is int or x.denominator != 1 else x.numerator
+
+
+def _cyclotomic_mul(a: tuple, b: tuple) -> tuple:
+    # (r1 + s1 w)(r2 + s2 w) with w^2 = -1 - w
+    (r1, s1), (r2, s2) = a, b
+    cross = s1 * s2
+    return _rational(r1 * r2 - cross), _rational(r1 * s2 + s1 * r2 - cross)
+
+
+def _cyclotomic_inverse(a: tuple) -> tuple:
+    # 1/(r + s w) = conjugate / norm, with norm r^2 - r s + s^2
+    r, s = a
+    n = r * r - r * s + s * s
+    return _rational(Fraction(r - s, n)), _rational(Fraction(-s, n))
+
+
+PayloadOps = namedtuple("PayloadOps", "zero add neg mul inverse")  # inverse: nonzero only
+
+
+def _payload_ops(kind: str, p: Optional[int]) -> PayloadOps:
+    if kind == PRIME_KIND:
+        return PayloadOps(0, lambda a, b: (a + b) % p, lambda a: -a % p,
+                          lambda a, b: a * b % p, lambda a: pow(a, -1, p))
+    if kind == RATIONAL_KIND:
+        return PayloadOps(0, lambda a, b: _rational(a + b), neg,
+                          lambda a, b: _rational(a * b), lambda a: _rational(Fraction(1, a)))
+    return PayloadOps((0, 0), lambda a, b: (_rational(a[0] + b[0]), _rational(a[1] + b[1])),
+                      lambda a: (-a[0], -a[1]), _cyclotomic_mul, _cyclotomic_inverse)
+
+
 @dataclass(frozen=True)
 class Char2Token:
     """Marker for an otherwise unspecified coefficient field of characteristic 2.
@@ -78,6 +117,7 @@ class FieldSpec:
 
     kind: str
     p: Optional[int] = None
+    ops: PayloadOps = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in (RATIONAL_KIND, PRIME_KIND, CYCLOTOMIC_KIND):
@@ -90,6 +130,10 @@ class FieldSpec:
                 )
         elif self.p is not None:
             raise ValueError(f"{self.kind} field takes no modulus")
+        object.__setattr__(self, "ops", _payload_ops(self.kind, self.p))
+
+    def __reduce__(self):  # ops holds closures, which do not pickle: rebuild them
+        return FieldSpec, (self.kind, self.p)
 
     def characteristic(self) -> int:
         return self.p if self.kind == PRIME_KIND else 0
@@ -104,14 +148,13 @@ class FieldSpec:
         if self.kind == PRIME_KIND:
             return FieldElement(self, n % self.p)
         if self.kind == RATIONAL_KIND:
-            return FieldElement(self, Fraction(n))
-        return FieldElement(self, (Fraction(n), Fraction(0)))
+            return FieldElement(self, n)
+        return FieldElement(self, (n, 0))
 
     def from_fraction(self, q: Fraction) -> "FieldElement":
-        if self.kind == RATIONAL_KIND:
-            return FieldElement(self, Fraction(q))
-        if self.kind == CYCLOTOMIC_KIND:
-            return FieldElement(self, (Fraction(q), Fraction(0)))
+        if self.kind != PRIME_KIND:
+            q = _rational(Fraction(q))
+            return FieldElement(self, q if self.kind == RATIONAL_KIND else (q, 0))
         if q.denominator % self.p == 0:
             raise ZeroDivisionError(f"denominator of {q} vanishes mod {self.p}")
         return FieldElement(
@@ -122,7 +165,7 @@ class FieldSpec:
         """The element r + s*w of Q(w)."""
         if self.kind != CYCLOTOMIC_KIND:
             raise ValueError("omega_element is only defined for Q(w)")
-        return FieldElement(self, (Fraction(r), Fraction(s)))
+        return FieldElement(self, (_rational(Fraction(r)), _rational(Fraction(s))))
 
     def coerce(self, value: Union["FieldElement", int, Fraction, str]) -> "FieldElement":
         """Map an integer, fraction, literal string, or element into this field."""
@@ -156,11 +199,8 @@ def prime_field(p: int) -> FieldSpec:
 
 @dataclass(frozen=True)
 class FieldElement:
-    """An exact element of Q, F_p, or Q(w).
-
-    Payload by field: a reduced ``Fraction`` for Q, an ``int`` in [0, p)
-    for F_p, and a pair (r, s) of fractions meaning r + s*w for Q(w).
-    """
+    """An exact element of Q, F_p, or Q(w): a payload (see the module
+    docstring) with its field."""
 
     spec: FieldSpec
     value: Union[Fraction, int, tuple]
@@ -168,71 +208,32 @@ class FieldElement:
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        if self.spec.kind == CYCLOTOMIC_KIND:
-            return self.value[0] == 0 and self.value[1] == 0
-        return self.value == 0
+        return self.value == self.spec.ops.zero
 
     def is_one(self) -> bool:
         return self == self.spec.one()
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _other(self, other: Union["FieldElement", int, Fraction]) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.spec != self.spec:
-                raise ValueError(f"mixed fields {self.spec} and {other.spec}")
-            return other
-        return self.spec.coerce(other)
-
     def __add__(self, other: Union["FieldElement", int, Fraction]) -> "FieldElement":
-        other = self._other(other)
-        k = self.spec.kind
-        if k == PRIME_KIND:
-            return FieldElement(self.spec, (self.value + other.value) % self.spec.p)
-        if k == RATIONAL_KIND:
-            return FieldElement(self.spec, self.value + other.value)
-        (r1, s1), (r2, s2) = self.value, other.value
-        return FieldElement(self.spec, (r1 + r2, s1 + s2))
+        return FieldElement(self.spec, self.spec.ops.add(self.value, self.spec.coerce(other).value))
 
     def __neg__(self) -> "FieldElement":
-        k = self.spec.kind
-        if k == PRIME_KIND:
-            return FieldElement(self.spec, -self.value % self.spec.p)
-        if k == RATIONAL_KIND:
-            return FieldElement(self.spec, -self.value)
-        r, s = self.value
-        return FieldElement(self.spec, (-r, -s))
+        return FieldElement(self.spec, self.spec.ops.neg(self.value))
 
     def __sub__(self, other: Union["FieldElement", int, Fraction]) -> "FieldElement":
-        return self + (-self._other(other))
+        return self + (-self.spec.coerce(other))
 
     def __mul__(self, other: Union["FieldElement", int, Fraction]) -> "FieldElement":
-        other = self._other(other)
-        k = self.spec.kind
-        if k == PRIME_KIND:
-            return FieldElement(self.spec, self.value * other.value % self.spec.p)
-        if k == RATIONAL_KIND:
-            return FieldElement(self.spec, self.value * other.value)
-        # (r1 + s1 w)(r2 + s2 w) with w^2 = -1 - w
-        (r1, s1), (r2, s2) = self.value, other.value
-        cross = s1 * s2
-        return FieldElement(self.spec, (r1 * r2 - cross, r1 * s2 + s1 * r2 - cross))
+        return FieldElement(self.spec, self.spec.ops.mul(self.value, self.spec.coerce(other).value))
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError(f"inverse of zero in {self.spec}")
-        k = self.spec.kind
-        if k == PRIME_KIND:
-            return FieldElement(self.spec, pow(self.value, -1, self.spec.p))
-        if k == RATIONAL_KIND:
-            return FieldElement(self.spec, 1 / self.value)
-        # 1/(r + s w) = conjugate / norm, with norm r^2 - r s + s^2
-        r, s = self.value
-        n = r * r - r * s + s * s
-        return FieldElement(self.spec, ((r - s) / n, -s / n))
+        return FieldElement(self.spec, self.spec.ops.inverse(self.value))
 
     def __truediv__(self, other: Union["FieldElement", int, Fraction]) -> "FieldElement":
-        return self * self._other(other).inverse()
+        return self * self.spec.coerce(other).inverse()
 
     def __pow__(self, n: int) -> "FieldElement":
         if n < 0:
@@ -256,12 +257,12 @@ class FieldElement:
 # -- square roots and roots of unity ----------------------------------------
 
 
-def _fraction_sqrt(q: Fraction) -> Optional[Fraction]:
+def _fraction_sqrt(q: Union[int, Fraction]) -> Optional[Union[int, Fraction]]:
     if q < 0:
         return None
     rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
     if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
+        return _rational(Fraction(rn, rd))
     return None
 
 
@@ -305,38 +306,35 @@ def is_square(a: FieldElement) -> Optional[FieldElement]:
     root is canonical (nonnegative over Q, the smaller residue over F_p).
     """
     spec = a.spec
-    if spec.kind == RATIONAL_KIND:
-        r = _fraction_sqrt(a.value)
-        return None if r is None else FieldElement(spec, r)
-    if spec.kind == PRIME_KIND:
-        r = _sqrt_mod_p(a.value, spec.p)
+    if spec.kind != CYCLOTOMIC_KIND:
+        r = _fraction_sqrt(a.value) if spec.kind == RATIONAL_KIND else _sqrt_mod_p(a.value, spec.p)
         return None if r is None else FieldElement(spec, r)
     # Q(w): write a = u + v*sqrt(-3) via w = (-1 + sqrt(-3))/2 and solve
     # (alpha + beta*sqrt(-3))^2 = a as a rational system.
     r, s = a.value
-    u, v = r - s / 2, s / 2
+    u, v = r - Fraction(s, 2), Fraction(s, 2)
     if u == 0 and v == 0:
         return spec.zero()
 
     def back(alpha: Fraction, beta: Fraction) -> FieldElement:
         # sqrt(-3) = 1 + 2w
-        return FieldElement(spec, (alpha + beta, 2 * beta))
+        return FieldElement(spec, (_rational(alpha + beta), _rational(2 * beta)))
 
     if v == 0:
         alpha = _fraction_sqrt(u)
         if alpha is not None:
-            return back(alpha, Fraction(0))
-        beta = _fraction_sqrt(-u / 3)
+            return back(alpha, 0)
+        beta = _fraction_sqrt(Fraction(-u, 3))
         if beta is not None:
-            return back(Fraction(0), beta)
+            return back(0, beta)
         return None
     q = _fraction_sqrt(u * u + 3 * v * v)
     if q is None:
         return None
-    for cand in ((u + q) / 2, (u - q) / 2):
+    for cand in (Fraction(u + q, 2), Fraction(u - q, 2)):
         alpha = _fraction_sqrt(cand)
         if alpha is not None and alpha != 0:
-            return back(alpha, v / (2 * alpha))
+            return back(alpha, Fraction(v, 2 * alpha))
     return None
 
 
@@ -347,7 +345,7 @@ def primitive_cube_root(spec: FieldSpec) -> Optional[FieldElement]:
     in Q. For F_p the smaller of the two roots of x^2 + x + 1 is returned.
     """
     if spec.kind == CYCLOTOMIC_KIND:
-        return FieldElement(spec, (Fraction(0), Fraction(1)))
+        return FieldElement(spec, (0, 1))
     if spec.kind == PRIME_KIND and spec.p % 3 == 1:
         rt = _sqrt_mod_p(-3 % spec.p, spec.p)
         assert rt is not None  # -3 is a residue whenever p = 1 (mod 3)
@@ -388,12 +386,10 @@ def parse_element(spec: FieldSpec, text: str) -> FieldElement:
     text = text.strip().replace(" ", "")
     if not text:
         raise ValueError("empty field literal")
-    if spec.kind == RATIONAL_KIND:
-        return FieldElement(spec, Fraction(text))
-    if spec.kind == PRIME_KIND:
-        if "/" in text:
-            return spec.from_fraction(Fraction(text))
+    if spec.kind == PRIME_KIND and "/" not in text:
         return spec.from_int(int(text))
+    if spec.kind != CYCLOTOMIC_KIND:
+        return spec.from_fraction(Fraction(text))
     r, s = Fraction(0), Fraction(0)
     for term in _CYC_TERM.findall(text):
         if not term:
@@ -408,4 +404,4 @@ def parse_element(spec: FieldSpec, text: str) -> FieldElement:
                 s += Fraction(body)
         else:
             r += Fraction(term)
-    return FieldElement(spec, (r, s))
+    return FieldElement(spec, (_rational(r), _rational(s)))

@@ -146,7 +146,8 @@ def solve_fourth_distance(known: Sequence[float]) -> List[float]:
     solutions = []
     for s in ((c - root) / 2.0, (c + root) / 2.0):
         if s >= -1e-12 * max(c, 1.0):
-            solutions.append(math.sqrt(max(s, 0.0)))
+            # s within rounding of zero, a few eps * c, is 0, not a root 1e-8 of the scale
+            solutions.append(math.sqrt(s) if s > 1e-15 * c else 0.0)
     return sorted(set(solutions))
 
 

@@ -11,6 +11,8 @@ A monomial is stored as the key ``(degree, -v1, e1, -v2, e2, ...)`` of its
 nonzero exponents, positions v1 < v2 < ..., so plain tuple order is grlex
 and a term costs time in its variables, not in the arity. Keys stay in this
 module; ``Polynomial.terms`` is a read-only view keyed by exponent tuples.
+Coefficients are stored as field payloads, and each operation binds the
+field's payload operations once; the scalar API returns ``FieldElement``s.
 
 Values are immutable and operations pure; instances can be shared between
 threads.
@@ -21,24 +23,24 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dataclass_field
-from functools import cache
+from functools import partial
 from itertools import compress
-from operator import itemgetter, neg
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple, TypeVar
 
 from .field import (
     CYCLOTOMIC_KIND,
     FieldElement,
     FieldSpec,
+    PayloadOps,
     element_to_text,
     parse_element,
 )
 
 Monomial = Tuple[int, ...]
 _Key = Tuple[int, ...]  # the stored form of a monomial
-Powers = Tuple[Tuple[int, int], ...]  # (position, exponent) pairs, positions ascending
 T = TypeVar("T")
-_ONE: _Key = (0,)
+_ONE: _Key = (0,)  # the key of the monomial 1
 
 
 def default_names(arity: int) -> Tuple[str, ...]:
@@ -52,6 +54,11 @@ def _encode(powers: Iterable[Tuple[int, int]]) -> _Key:
         key += (-v, e)
         key[0] += e
     return tuple(key)
+
+
+def _monomial_key(v: int, e: int, w: int = 0, f: int = 0) -> _Key:
+    """The key of x_v^e (e > 0), or of x_v^e * x_w^f when f > 0 (then v < w)."""
+    return (e + f, -v, e, -w, f) if f else (e, -v, e)
 
 
 def _key(exps: Sequence[int]) -> _Key:
@@ -101,30 +108,39 @@ def _over(a: _Key, b: _Key) -> Optional[_Key]:
     return _encode((-v, e) for v, e in powers.items() if e)
 
 
-def _accumulate(
-    terms: Dict[_Key, FieldElement],
-    items: Iterable[Tuple[_Key, FieldElement]],
-) -> Dict[_Key, FieldElement]:
-    """Add each (monomial, coefficient) of items into terms, dropping zeros."""
+def _accumulate(terms: dict, items: Iterable[tuple], ops: PayloadOps) -> dict:
+    """Add each (key, payload) of items into terms, dropping zeros."""
+    add, zero = ops.add, ops.zero
     for key, c in items:
         prev = terms.get(key)
         if prev is not None:
-            c = prev + c
-        if c.is_zero():
+            c = add(prev, c)
+        if c == zero:
             terms.pop(key, None)
         else:
             terms[key] = c
     return terms
 
 
+class _Memo(dict):
+    """A dict that fills a missing key k with fill(k); a hit makes no Python call."""
+
+    def __init__(self, fill: Callable) -> None:
+        self.fill = fill
+
+    def __missing__(self, k):
+        self[k] = value = self.fill(k)
+        return value
+
+
 class _Terms(Mapping):
-    """Read-only view of a polynomial's terms keyed by exponent tuples; each key
-    is converted when it is read, and ``len`` is the store's."""
+    """Read-only view of a polynomial's terms, exponent tuples to FieldElements;
+    each term is converted when it is read, and ``len`` is the store's."""
 
-    __slots__ = ("_store", "_arity")
+    __slots__ = ("_store", "_field", "_arity")
 
-    def __init__(self, store: Dict[_Key, FieldElement], arity: int) -> None:
-        self._store, self._arity = store, arity
+    def __init__(self, store: dict, field: FieldSpec, arity: int) -> None:
+        self._store, self._field, self._arity = store, field, arity
 
     def __len__(self) -> int:
         return len(self._store)
@@ -135,10 +151,7 @@ class _Terms(Mapping):
     def __getitem__(self, exps: Monomial) -> FieldElement:
         if not isinstance(exps, tuple) or len(exps) != self._arity:
             raise KeyError(exps)
-        return self._store[_key(exps)]
-
-    def values(self):
-        return self._store.values()
+        return FieldElement(self._field, self._store[_key(exps)])
 
 
 @dataclass(frozen=True)
@@ -146,11 +159,11 @@ class Polynomial:
     """A sparse multivariate polynomial over one of the supported fields.
 
     Build one with the static constructors or the ring operations: the
-    third field holds this module's keys, not exponent tuples."""
+    third field maps this module's keys, not exponent tuples, to payloads."""
 
     field: FieldSpec
     arity: int
-    _store: Dict[_Key, FieldElement] = dataclass_field(default_factory=dict)
+    _store: dict = dataclass_field(default_factory=dict)
 
     def __hash__(self) -> int:
         return hash((self.field, self.arity, frozenset(self._store.items())))
@@ -158,7 +171,7 @@ class Polynomial:
     @property
     def terms(self) -> Mapping:
         """The terms, as a read-only map from exponent tuples to coefficients."""
-        return _Terms(self._store, self.arity)
+        return _Terms(self._store, self.field, self.arity)
 
     # -- constructors --------------------------------------------------------
 
@@ -167,7 +180,7 @@ class Polynomial:
         field: FieldSpec, arity: int, raw: Mapping[Monomial, FieldElement]
     ) -> "Polynomial":
         """Canonical constructor: validates exponents and prunes zeros."""
-        terms: Dict[_Key, FieldElement] = {}
+        terms = {}
         for exps, c in raw.items():
             exps = tuple(exps)
             if len(exps) != arity or any(e < 0 for e in exps):
@@ -175,36 +188,24 @@ class Polynomial:
             if c.spec != field:
                 raise ValueError(f"coefficient field {c.spec} does not match {field}")
             if not c.is_zero():
-                terms[_key(exps)] = c
+                terms[_key(exps)] = c.value
         return Polynomial(field, arity, terms)
-
-    @staticmethod
-    def from_powers(
-        field: FieldSpec, arity: int, raw: Mapping[Powers, FieldElement]
-    ) -> "Polynomial":
-        """Unchecked constructor from monomials given as their (position,
-        exponent) pairs, positions ascending and exponents positive; prunes zeros."""
-        return Polynomial(
-            field, arity, {_encode(powers): c for powers, c in raw.items() if not c.is_zero()}
-        )
 
     @staticmethod
     def from_packed(field: FieldSpec, arity: int, raw: Mapping[int, int]) -> "Polynomial":
         """Unchecked constructor from integer coefficients, mapped into the
-        field (one object per value), of monomials packed into ints, one byte
-        per exponent with the first position lowest; prunes zeros."""
+        field once per value, of monomials packed into ints, one byte per
+        exponent with the first position lowest; prunes zeros."""
         # many monomials share their lower or their upper half of positions
         # with others, so each half is decoded once
         low = (1 << 8 * (arity // 2)) - 1
         high = ~low
-        halves: Dict[int, _Key] = {}
-        images = {n: c for n in set(raw.values()) if not (c := field.from_int(n)).is_zero()}
-        terms: Dict[_Key, FieldElement] = {}
+        halves = _Memo(lambda half: _key(half.to_bytes(arity, "little")))
+        images = {n: c.value for n in set(raw.values()) if not (c := field.from_int(n)).is_zero()}
+        terms = {}
         for packed, n in raw.items():
             if n in images:
-                lo, hi = packed & low, packed & high
-                k1 = halves.get(lo) or halves.setdefault(lo, _key(lo.to_bytes(arity, "little")))
-                k2 = halves.get(hi) or halves.setdefault(hi, _key(hi.to_bytes(arity, "little")))
+                k1, k2 = halves[packed & low], halves[packed & high]
                 terms[(k1[0] + k2[0],) + k1[1:] + k2[1:]] = images[n]
         return Polynomial(field, arity, terms)
 
@@ -214,26 +215,25 @@ class Polynomial:
 
     @staticmethod
     def constant(field: FieldSpec, arity: int, c) -> "Polynomial":
-        c = field.coerce(c)
-        if c.is_zero():
-            return Polynomial.zero(field, arity)
-        return Polynomial(field, arity, {_ONE: c})
+        c = field.coerce(c).value
+        return Polynomial(field, arity, {_ONE: c} if c != field.ops.zero else {})
 
     @staticmethod
     def diagonal(field: FieldSpec, const, coeffs: Sequence, power: int) -> "Polynomial":
         """const + sum_i coeffs[i] * x_i^power in len(coeffs) variables."""
         if power < 1:
             raise ValueError(f"diagonal power must be at least 1, got {power}")
-        raw = {(): field.coerce(const)}
-        for i, c in enumerate(coeffs):
-            raw[((i, power),)] = field.coerce(c)
-        return Polynomial.from_powers(field, len(coeffs), raw)
+        keys = [_ONE] + [_monomial_key(i, power) for i in range(len(coeffs))]
+        values = (field.coerce(c).value for c in [const, *coeffs])
+        store = {k: c for k, c in zip(keys, values) if c != field.ops.zero}
+        return Polynomial(field, len(coeffs), store)
 
     @staticmethod
     def variable(field: FieldSpec, arity: int, i: int, power: int = 1) -> "Polynomial":
         if not 0 <= i < arity:
             raise ValueError(f"variable index {i} out of range for arity {arity}")
-        return Polynomial(field, arity, {_encode([(i, power)] if power else []): field.one()})
+        key = _monomial_key(i, power) if power else _ONE
+        return Polynomial(field, arity, {key: field.one().value})
 
     # -- basic queries --------------------------------------------------------
 
@@ -250,7 +250,7 @@ class Polynomial:
     def leading_coefficient(self) -> FieldElement:
         if not self._store:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._store[max(self._store)]
+        return FieldElement(self.field, self._store[max(self._store)])
 
     def is_homogeneous(self) -> Tuple[bool, Optional[int]]:
         """(flag, degree); the zero polynomial is homogeneous of degree None."""
@@ -270,8 +270,8 @@ class Polynomial:
             self.field, self.arity, {k: c for k, c in self._store.items() if k[0] == d}
         )
 
-    def terms_descending(self) -> Iterator[Tuple[Monomial, FieldElement]]:
-        """(exponent tuple, coefficient) pairs, exponent tuples descending
+    def terms_descending(self) -> Iterator[Tuple[Monomial, object]]:
+        """(exponent tuple, coefficient payload) pairs, exponent tuples descending
         lexicographically (not grlex): a key without its degree sorts so."""
         store = self._store
         return (
@@ -290,36 +290,38 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
-        terms = _accumulate(dict(self._store), other._store.items())
+        terms = _accumulate(dict(self._store), other._store.items(), self.field.ops)
         return Polynomial(self.field, self.arity, terms)
 
     def __neg__(self) -> "Polynomial":
-        return self.map_coefficients(neg)
+        return self.map_coefficients(self.field.ops.neg)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def scale(self, c) -> "Polynomial":
         c = self.field.coerce(c)
-        return self if c.is_one() else self.map_coefficients(lambda k: k * c)
+        return self if c.is_one() else self.map_coefficients(partial(self.field.ops.mul, c.value))
 
-    def map_coefficients(self, f: Callable[[FieldElement], FieldElement]) -> "Polynomial":
-        """The polynomial with each coefficient c replaced by f(c), zeros pruned."""
-        return Polynomial(self.field, self.arity, {
-            key: fc for key, c in self._store.items() if not (fc := f(c)).is_zero()
-        })
+    def map_coefficients(self, f: Callable[[object], object]) -> "Polynomial":
+        """The polynomial with each coefficient payload c replaced by f(c), zeros pruned."""
+        zero = self.field.ops.zero
+        store = {key: fc for key, c in self._store.items() if (fc := f(c)) != zero}
+        return Polynomial(self.field, self.arity, store)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check_ring(other)
+        mul = self.field.ops.mul
         acc = _accumulate(
             {},
             (
-                (_times(e1, e2), c1 * c2)
+                (_times(e1, e2), mul(c1, c2))
                 for e1, c1 in self._store.items()
                 for e2, c2 in other._store.items()
             ),
+            self.field.ops,
         )
         return Polynomial(self.field, self.arity, acc)
 
@@ -359,19 +361,20 @@ class Polynomial:
         self._check_ring(d)
         if d.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
+        mul, neg = self.field.ops.mul, self.field.ops.neg
         dlm = max(d._store)
-        dlc = d._store[dlm]
+        inverse = self.field.ops.inverse(d._store[dlm])
         rem = dict(self._store)
-        quot: Dict[_Key, FieldElement] = {}
+        quot = {}
         while rem:
             rlm = max(rem)
             shift = _over(rlm, dlm)
             if shift is None:
                 return None
-            c = rem[rlm] / dlc
-            quot[shift] = c
-            neg_c = -c
-            _accumulate(rem, ((_times(shift, e), neg_c * k) for e, k in d._store.items()))
+            c = quot[shift] = mul(rem[rlm], inverse)
+            neg_c = neg(c)
+            shifted = ((_times(shift, e), mul(neg_c, k)) for e, k in d._store.items())
+            _accumulate(rem, shifted, self.field.ops)
         return Polynomial(self.field, self.arity, quot)
 
     def symmetric_reduce(self, i: int, j: int) -> Optional["Polynomial"]:
@@ -394,8 +397,8 @@ class Polynomial:
         v = Polynomial.variable(self.field, self.arity, j)
         two = Polynomial.constant(self.field, self.arity, 2)
         power_sums = [two, u]
-        acc: Dict[_Key, FieldElement] = {}
-        for exps, c in self.terms.items():
+        acc: Dict[_Key, object] = {}
+        for exps, c in zip(self.terms, self._store.values()):
             k, l = exps[i], exps[j]
             if k < l:
                 continue  # mirror of a (k > l) term already handled
@@ -404,7 +407,8 @@ class Polynomial:
             rest = list(exps)
             rest[i], rest[j] = 0, l
             base = Polynomial(self.field, self.arity, {_key(rest): c})
-            _accumulate(acc, (base * power_sums[k - l] if k > l else base)._store.items())
+            product = base * power_sums[k - l] if k > l else base
+            _accumulate(acc, product._store.items(), self.field.ops)
         return Polynomial(self.field, self.arity, acc)
 
     def __str__(self) -> str:
@@ -433,13 +437,9 @@ def _checked_names(
     return names
 
 
-def coefficient_texts(render: Callable[[FieldElement], T]) -> Callable[[FieldElement], T]:
-    """render, computed once per coefficient object: polynomials share few
-    objects across many terms (``build_g`` and ``cayley_menger`` make one per
-    distinct value). Use it for one pass over a term map, whose coefficients
-    outlive it, so that no id is reused."""
-    memo: Dict[int, T] = {}
-    return lambda c: memo[id(c)] if id(c) in memo else memo.setdefault(id(c), render(c))
+def coefficient_texts(field: FieldSpec, render: Callable[[FieldElement], T]) -> Callable:
+    """render of a payload of ``field``, once per distinct value (2 and Fraction(2) alike)."""
+    return _Memo(lambda c: render(FieldElement(field, c))).__getitem__
 
 
 def _signed_text(c: FieldElement) -> Tuple[str, str, str]:
@@ -456,8 +456,10 @@ def poly_to_text(p: Polynomial, names: Optional[Sequence[str]] = None) -> str:
     names = _checked_names(p.field, p.arity, names)
     if p.is_zero():
         return "0"
-    signed = coefficient_texts(_signed_text)
-    factor = cache(lambda ve: names[-ve[0]] if ve[1] == 1 else f"{names[-ve[0]]}^{ve[1]}")
+    signed = coefficient_texts(p.field, _signed_text)
+    factor = _Memo(
+        lambda ve: names[-ve[0]] if ve[1] == 1 else f"{names[-ve[0]]}^{ve[1]}"
+    ).__getitem__
     pieces = []
     store = p._store
     for key in sorted(store, reverse=True):  # sorting keys is cheaper than sorting items
@@ -496,7 +498,7 @@ def parse_polynomial(
     compact = text.replace(" ", "")
     if not compact:
         raise ValueError("empty polynomial text")
-    terms: Dict[_Key, FieldElement] = {}
+    terms: Dict[_Key, object] = {}
     for raw in _split_terms(compact):
         if not raw:
             continue
@@ -530,5 +532,5 @@ def parse_polynomial(
                 coeff = coeff * parse_element(field, factor)
         if negative:
             coeff = -coeff
-        _accumulate(terms, [(_key(exps), coeff)])
+        _accumulate(terms, [(_key(exps), coeff.value)], field.ops)
     return Polynomial(field, arity, terms)

@@ -24,7 +24,7 @@ from simplexpoly.field import (
     prime_field,
 )
 from simplexpoly.geometry import quadruple_residual
-from simplexpoly.poly import Monomial, Polynomial, _accumulate, default_names
+from simplexpoly.poly import Monomial, Polynomial, default_names
 
 ALL_FIELDS = [RATIONAL, prime_field(3), prime_field(5), prime_field(7), CYCLOTOMIC]
 
@@ -70,6 +70,28 @@ def random_element(spec: FieldSpec, rng: Random, max_abs: int = 9) -> FieldEleme
             Fraction(rng.randint(-max_abs, max_abs), rng.randint(1, max_abs)),
         ),
     )
+
+
+def canonical(spec, v) -> bool:
+    """v is a payload of spec in canonical form: an int residue over F_p,
+    rationals as int when integral and Fraction otherwise (never a float)."""
+    if spec.kind == PRIME_KIND:
+        return type(v) is int and 0 <= v < spec.p
+    rational = lambda x: type(x) is int or (type(x) is Fraction and x.denominator != 1)
+    if spec.kind == CYCLOTOMIC_KIND:
+        return type(v) is tuple and len(v) == 2 and all(map(rational, v))
+    return rational(v)
+
+
+@st.composite
+def elements(draw, spec):
+    """An element of spec, often with a non-integral rational part."""
+    num, den = draw(st.integers(-20, 20)), draw(st.integers(1, 6))
+    if spec.kind == PRIME_KIND:
+        return spec.from_int(num)
+    if spec.kind == CYCLOTOMIC_KIND:
+        return spec.omega_element(Fraction(num, den), Fraction(draw(st.integers(-20, 20)), den))
+    return spec.from_fraction(Fraction(num, den))
 
 
 def random_polynomial(
@@ -142,7 +164,7 @@ def substitute(
         for i, e in enumerate(exps):
             if e:
                 term = term * power(i, e)
-        _accumulate(acc, term.terms.items())
+        dense_accumulate(acc, term.terms.items())
     return Polynomial.from_terms(p.field, target_arity, acc)
 
 

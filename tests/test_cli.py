@@ -294,6 +294,20 @@ class TestGeometryCommand:
         assert any(abs(v - 3.0) < 1e-9 for v in report["payload"]["solutions"])
 
     @pytest.mark.parametrize(
+        "known, expected",
+        [
+            ("1e70,1e70,1e70", [0.0, 1.7320508075688774e70]),
+            ("3e20,3e20,3e20", [0.0, 5.196152422706633e20]),
+        ],
+    )
+    def test_solve_reports_zero_within_rounding(self, capsys, known, expected):
+        # the small root is exactly 0 (the point sits at a vertex); computed,
+        # it is a few eps * c, and its square root, 1.45e62 at 1e70, is no root
+        code, report = run_json(capsys, "geometry", "solve", "--known", known)
+        assert code == EXIT_OK
+        assert report["payload"]["solutions"] == expected
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["verify", "--n", "3", "--a", "1e100", "--samples", "3"],

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from random import Random
 
@@ -8,14 +9,18 @@ from simplexpoly.field import (
     CHAR2,
     CYCLOTOMIC,
     RATIONAL,
+    FieldElement,
     element_to_text,
     is_square,
     parse_element,
     prime_field,
     primitive_cube_root,
 )
+from simplexpoly.poly import Polynomial
 
-from conftest import random_element
+from conftest import canonical, elements, random_element
+
+PAYLOAD_FIELDS = [RATIONAL, prime_field(3), prime_field(7), prime_field(101), CYCLOTOMIC]
 
 
 class TestFieldSpec:
@@ -43,6 +48,12 @@ class TestFieldSpec:
     def test_strong_pseudoprimes_rejected(self, p):
         with pytest.raises(ValueError):
             prime_field(p)
+
+    @pytest.mark.parametrize("spec", PAYLOAD_FIELDS, ids=repr)
+    def test_pickle_round_trip(self, spec):
+        p = Polynomial.diagonal(spec, 1, [2, spec.one()], 2)
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy == p and copy * copy == p * p and copy.field.ops.zero == spec.ops.zero
 
     def test_largest_moduli_accepted(self):
         p = 3317044064679887385961813  # a prime just below psi_13
@@ -94,6 +105,67 @@ class TestArithmetic:
         assert f5.coerce(Fraction(7, 3)).value == 7 * pow(3, -1, 5) % 5
         with pytest.raises(ZeroDivisionError):
             f5.coerce(Fraction(1, 5))
+
+
+class TestPayloadOps:
+    """The payload operations of each field: canonical results and the ring
+    laws, and over Q and Q(w) agreement with an independent reference."""
+
+    @given(st.sampled_from(PAYLOAD_FIELDS).flatmap(lambda f: st.tuples(*[elements(f)] * 3)))
+    def test_ring_laws_on_canonical_payloads(self, abc):
+        a, b, c = abc
+        ops, one = a.spec.ops, a.spec.one().value
+        x, y, z = a.value, b.value, c.value
+        results = [ops.add(x, y), ops.mul(x, y), ops.neg(x), ops.zero, one]
+        if x != ops.zero:
+            results.append(ops.inverse(x))
+            assert ops.mul(x, ops.inverse(x)) == one
+        assert all(canonical(a.spec, v) for v in results + [x, y, z])
+        assert ops.mul(x, ops.add(y, z)) == ops.add(ops.mul(x, y), ops.mul(x, z))
+        assert ops.mul(ops.mul(x, y), z) == ops.mul(x, ops.mul(y, z))
+        assert ops.add(x, ops.neg(x)) == ops.zero
+        # the scalar API computes with the same operations
+        assert (a * b + c).value == ops.add(ops.mul(x, y), z)
+
+    @given(st.tuples(*[elements(RATIONAL)] * 2))
+    def test_rational_ops_match_fractions(self, ab):
+        (x, y), ops = (e.value for e in ab), RATIONAL.ops
+        assert ops.add(x, y) == Fraction(x) + Fraction(y)
+        assert ops.mul(x, y) == Fraction(x) * Fraction(y)
+        if y:
+            assert ops.inverse(y) == 1 / Fraction(y)
+
+    @given(st.tuples(*[elements(CYCLOTOMIC)] * 2))
+    def test_cyclotomic_ops_match_matrices(self, ab):
+        # r + s*w acts on the basis {1, w} as [[r, -s], [s, r - s]] (w^2 = -1 - w)
+        def matrix(v):
+            r, s = map(Fraction, v)
+            return ((r, -s), (s, r - s))
+
+        def product(m1, m2):
+            return tuple(
+                tuple(sum(m1[i][k] * m2[k][j] for k in range(2)) for j in range(2))
+                for i in range(2)
+            )
+
+        (x, y), ops = (e.value for e in ab), CYCLOTOMIC.ops
+        assert matrix(ops.mul(x, y)) == product(matrix(x), matrix(y))
+        if y != ops.zero:
+            assert product(matrix(ops.inverse(y)), matrix(y)) == matrix((1, 0))
+
+    @given(elements(CYCLOTOMIC))
+    def test_cyclotomic_square_roots_are_canonical(self, a):
+        root = is_square(a * a)
+        assert root is not None and root * root == a * a
+        assert canonical(CYCLOTOMIC, root.value)
+
+    def test_integral_fraction_is_stored_as_int(self):
+        assert type(RATIONAL.coerce(Fraction(6, 3)).value) is int
+        assert type(parse_element(RATIONAL, "6/3").value) is int
+        assert parse_element(CYCLOTOMIC, "2/2+4/2*w").value == (1, 2)
+        assert CYCLOTOMIC.omega_element(Fraction(4, 2), 1).value == (2, 1)
+        assert canonical(CYCLOTOMIC, CYCLOTOMIC.omega_element(Fraction(4, 2), 1).value)
+        assert FieldElement(RATIONAL, Fraction(2)) == RATIONAL.from_int(2)
 
 
 class TestIsSquare:

@@ -5,10 +5,9 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from simplexpoly.field import CYCLOTOMIC, RATIONAL, prime_field
+from simplexpoly.field import CYCLOTOMIC, RATIONAL, FieldElement, prime_field
 from simplexpoly.poly import (
     Polynomial,
-    _accumulate,
     _exps,
     _key,
     parse_polynomial,
@@ -16,11 +15,13 @@ from simplexpoly.poly import (
 )
 
 from conftest import (
+    canonical,
     dense_accumulate,
     dense_divide,
     dense_mul,
     dense_polynomials,
     dense_symmetric_reduce,
+    elements,
     evaluate,
     grlex_key,
     polynomial_rings,
@@ -105,7 +106,7 @@ class TestRingOps:
     def test_single_term_operand_matches_general_product(self, any_field):
         def general(p, q):
             # the double loop over term pairs, without the single-term path
-            terms = _accumulate(
+            terms = dense_accumulate(
                 {},
                 (
                     (tuple(map(add, e1, e2)), c1 * c2)
@@ -526,3 +527,41 @@ class TestSparseMatchesDense:
         assert (_key(a) < _key(b)) == (grlex_key(a) < grlex_key(b))
         assert (_key(a) == _key(b)) == (a == b)
         assert _exps(_key(a), len(a)) == a
+
+
+class TestPayloadArithmetic:
+    """Polynomial arithmetic on raw payloads against the FieldElement-level
+    dense reference, over Q and Q(w) with non-integral values and over F_7."""
+
+    @given(ring_and_polynomials(3, max_terms=4), st.integers(0, 3), st.data())
+    def test_operations_match_elements(self, case, n, data):
+        field, arity, (a, b, d) = case
+        p, q = poly(field, arity, a), poly(field, arity, b)
+        c = data.draw(elements(field))
+        power = {(0,) * arity: field.one()}
+        for _ in range(n):
+            power = dense_mul(power, a)
+        results = [
+            (p + q, dense_accumulate(dict(a), b.items())),
+            (p * q, dense_mul(a, b)),
+            (p**n, power),
+            (p.scale(c), {e: k * c for e, k in a.items() if not (k * c).is_zero()}),
+            (p.map_coefficients(field.ops.inverse), {e: k.inverse() for e, k in a.items()}),
+        ]
+        if d:
+            results.append((poly(field, arity, dense_mul(a, d)).exact_divide(poly(field, arity, d)), a))
+        for result, expected in results:
+            assert dense(result) == expected
+            assert all(canonical(field, v) for v in result._store.values())
+
+    @given(st.sampled_from([RATIONAL, CYCLOTOMIC]), st.integers(-9, 9), st.integers(1, 3))
+    def test_integral_fraction_builds_the_same_polynomial(self, field, k, arity):
+        # through the scalar API, and through a FieldElement holding Fraction(k)
+        x = Polynomial.variable(field, arity, 0)
+        as_fraction = x.scale(Fraction(3 * k, 3)) + Polynomial.constant(field, arity, Fraction(k))
+        as_int = x.scale(k) + Polynomial.constant(field, arity, k)
+        raw = Fraction(k) if field == RATIONAL else (Fraction(k), Fraction(0))
+        exps = (1,) + (0,) * (arity - 1)
+        wrapped = Polynomial.from_terms(field, arity, {exps: FieldElement(field, raw)})
+        for p, q in [(as_fraction, as_int), (wrapped, as_int - Polynomial.constant(field, arity, k))]:
+            assert p == q and hash(p) == hash(q) and poly_to_text(p) == poly_to_text(q)
