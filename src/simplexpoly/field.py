@@ -205,6 +205,19 @@ class FieldElement:
     spec: FieldSpec
     value: Union[Fraction, int, tuple]
 
+    def __post_init__(self) -> None:
+        """Put the payload into its field's canonical form; refuse any other value."""
+        spec, value = self.spec, self.value
+        # exact types, so a bool is refused
+        number = (int,) if spec.kind == PRIME_KIND else (int, Fraction)
+        if spec.kind != CYCLOTOMIC_KIND:
+            valid = type(value) in number
+        else:
+            valid = type(value) is tuple and len(value) == 2 and all(type(x) in number for x in value)
+        if not valid:
+            raise TypeError(f"{value!r} is not a payload of {spec}")
+        object.__setattr__(self, "value", spec.ops.add(spec.ops.zero, value))
+
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -38,7 +38,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .field import PRIME_KIND
-from .poly import Monomial, Polynomial
+from .poly import Monomial, Polynomial, _key
 
 _CHUNK = 1 << 18  # most indices one filter step holds
 _LINES = 8  # filter lines on which the input does not vanish
@@ -163,8 +163,8 @@ def _filter_lines(
     line through a coordinate axis rejects almost nothing on homogeneous
     input, which is why points with a zero coordinate come last.
     """
-    monos = np.array(list(p.terms), dtype=np.int64)
-    coeffs = np.array([c.value for c in p.terms.values()], dtype=np.int64)
+    monos, coeffs = zip(*p.terms_descending())
+    coeffs = np.array(coeffs, dtype=np.int64)
     candidates = (
         ((j + turn) % p.arity, coords)
         for turn in range(p.arity)
@@ -181,7 +181,7 @@ def _filter_lines(
 
 def _accept_tables(
     restricted: np.ndarray, prev: np.ndarray, d: int, q: int, deadline: float
-) -> Optional[np.ndarray]:
+) -> np.ndarray:
     """accept[line, code] for restricted candidates coded little-endian base q.
 
     restricted holds the input's restriction to each line, one row each.
@@ -193,7 +193,6 @@ def _accept_tables(
     d-1 tables. Monic divisors of degree d are found by one long division
     over all lines and all monic tails at once, in batches of at most
     _CHUNK coefficients; a zero top coefficient makes a step a no-op.
-    None means the deadline passed during the build.
     """
     n_lines, n = restricted.shape
     tables = np.zeros((n_lines, q ** (d + 1)), dtype=bool)
@@ -201,8 +200,7 @@ def _accept_tables(
     scalars = np.arange(1, q)[:, None, None]
     step = max(1, _CHUNK // max(1, restricted.size))
     for lo in range(0, q**d, step):
-        if time.monotonic() > deadline:
-            return None
+        _check_deadline(deadline)
         idx = np.arange(lo, min(lo + step, q**d))
         monic = np.ones((len(idx), d + 1), dtype=np.int64)
         monic[:, :d] = idx[:, None] // q ** np.arange(d) % q
@@ -300,10 +298,9 @@ class _Search:
         # as many lines as the budget holds; with none, one that passes everything
         used = self.lines[: _MAX_TABLE_BYTES // size]
         tables = _accept_tables(self.restricted[: len(used)], self.tables, d, q, self.deadline)
-        if tables is None:
-            raise _Refused("time limit exceeded")
         self.tables = tables
         monos = _monomials_desc(p.arity, d, exact=self.homogeneous)
+        keys = [_key(m) for m in monos]
         n = len(monos)
         if used:
             vys, points, _ = zip(*used)
@@ -348,8 +345,8 @@ class _Search:
             for tail in lows.tolist():
                 _check_deadline(self.deadline)
                 coeffs = top.tolist() + tail
-                terms = {m: p.field.from_int(c) for m, c in zip(monos, coeffs) if c}
-                cand = Polynomial.from_terms(p.field, p.arity, terms)
+                # the digits are residues mod q, so already F_q payloads
+                cand = Polynomial(p.field, p.arity, {k: c for k, c in zip(keys, coeffs) if c})
                 quotient = p.exact_divide(cand)
                 if quotient is not None:
                     yield int(places @ coeffs), FactorFound(cand, quotient)

@@ -473,7 +473,9 @@ def poly_to_text(p: Polynomial, names: Optional[Sequence[str]] = None) -> str:
     return "".join(pieces)
 
 
-def _split_terms(text: str) -> Iterable[str]:
+def _split(text: str, seps: str, keep: bool) -> Iterator[str]:
+    """The pieces of text cut at each of seps outside parentheses: keep starts
+    each piece with its separator and makes no empty piece, else separators drop."""
     depth, start = 0, 0
     for pos, ch in enumerate(text):
         if ch == "(":
@@ -482,9 +484,9 @@ def _split_terms(text: str) -> Iterable[str]:
             depth -= 1
             if depth < 0:
                 raise ValueError("unbalanced parentheses")
-        elif ch in "+-" and depth == 0 and pos > start:
+        elif ch in seps and depth == 0 and (pos > start or not keep):
             yield text[start:pos]
-            start = pos
+            start = pos if keep else pos + 1
     if depth:
         raise ValueError("unbalanced parentheses")
     yield text[start:]
@@ -499,9 +501,7 @@ def parse_polynomial(
     if not compact:
         raise ValueError("empty polynomial text")
     terms: Dict[_Key, object] = {}
-    for raw in _split_terms(compact):
-        if not raw:
-            continue
+    for raw in _split(compact, "+-", keep=True):
         negative = raw[0] == "-"
         if raw[0] in "+-":
             raw = raw[1:]
@@ -509,18 +509,7 @@ def parse_polynomial(
             raise ValueError("dangling sign in polynomial text")
         coeff = field.one()
         exps = [0] * arity
-        # split on * at depth 0
-        factors, depth, start = [], 0, 0
-        for pos, ch in enumerate(raw):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "*" and depth == 0:
-                factors.append(raw[start:pos])
-                start = pos + 1
-        factors.append(raw[start:])
-        for factor in factors:
+        for factor in _split(raw, "*", keep=False):
             if not factor:
                 raise ValueError(f"empty factor in term {raw!r}")
             m = _FACTOR.match(factor)

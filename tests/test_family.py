@@ -284,6 +284,10 @@ class TestSpecialSubstitution:
         with pytest.raises(ValueError):
             prekite_reduction(7)
 
+    def test_rule_must_be_a_substitution_rule(self):
+        with pytest.raises(ValueError):
+            special_family_substitution(3, "sum")
+
 
 RULE_IMAGES = {
     SubstitutionRule.SUM: lambda xi, xj: xi + xj,

@@ -8,8 +8,11 @@ from hypothesis import given, strategies as st
 from simplexpoly.field import (
     CHAR2,
     CYCLOTOMIC,
+    CYCLOTOMIC_KIND,
     RATIONAL,
+    RATIONAL_KIND,
     FieldElement,
+    FieldSpec,
     element_to_text,
     is_square,
     parse_element,
@@ -34,6 +37,22 @@ class TestFieldSpec:
     def test_bad_moduli_rejected(self, p):
         with pytest.raises(ValueError):
             prime_field(p)
+
+    @pytest.mark.parametrize(
+        "kind,p", [("bogus", None), (RATIONAL_KIND, 5), (CYCLOTOMIC_KIND, 7)]
+    )
+    def test_bad_specs_rejected(self, kind, p):
+        with pytest.raises(ValueError):
+            FieldSpec(kind, p)
+
+    @pytest.mark.parametrize("value", [True, 1.5, None])
+    def test_non_values_not_coerced(self, value):
+        with pytest.raises(TypeError):
+            RATIONAL.coerce(value)
+
+    def test_omega_element_needs_the_cyclotomic_field(self):
+        with pytest.raises(ValueError):
+            RATIONAL.omega_element(1, 2)
 
     def test_char_three_allowed(self):
         assert prime_field(3).characteristic() == 3
@@ -86,6 +105,13 @@ class TestArithmetic:
             RATIONAL.one() / RATIONAL.zero()
         with pytest.raises(ZeroDivisionError):
             CYCLOTOMIC.zero().inverse()
+
+    def test_negative_power_inverts(self):
+        assert RATIONAL.from_int(2) ** -2 == RATIONAL.from_fraction(Fraction(1, 4))
+        f7 = prime_field(7)
+        assert (f7.from_int(3) ** -2 * f7.from_int(9)).is_one()
+        w = CYCLOTOMIC.omega_element(0, 1)
+        assert w**-2 == w  # w^3 = 1
 
     @pytest.mark.parametrize("spec", [RATIONAL, prime_field(7), prime_field(10007), CYCLOTOMIC])
     def test_inverse_roundtrip(self, spec):
@@ -166,6 +192,44 @@ class TestPayloadOps:
         assert CYCLOTOMIC.omega_element(Fraction(4, 2), 1).value == (2, 1)
         assert canonical(CYCLOTOMIC, CYCLOTOMIC.omega_element(Fraction(4, 2), 1).value)
         assert FieldElement(RATIONAL, Fraction(2)) == RATIONAL.from_int(2)
+        assert type(FieldElement(RATIONAL, Fraction(2)).value) is int
+        pair = FieldElement(CYCLOTOMIC, (Fraction(4, 2), Fraction(-6, 2))).value
+        assert pair == (2, -3) and canonical(CYCLOTOMIC, pair)
+
+    @pytest.mark.parametrize("p,value", [(7, 9), (7, -1), (3, 10**30 + 2), (101, 0)])
+    def test_prime_payload_reduced(self, p, value):
+        spec = prime_field(p)
+        assert FieldElement(spec, value) == spec.from_int(value)
+        assert FieldElement(spec, value).value == value % p
+
+    @pytest.mark.parametrize(
+        "spec,value",
+        [
+            (RATIONAL, 0.5),
+            (RATIONAL, True),
+            (RATIONAL, "1"),
+            (RATIONAL, (1, 0)),
+            (prime_field(7), Fraction(1, 2)),
+            (prime_field(7), Fraction(2)),
+            (prime_field(7), 2.0),
+            (prime_field(7), False),
+            (CYCLOTOMIC, 1),
+            (CYCLOTOMIC, Fraction(1, 2)),
+            (CYCLOTOMIC, (1, 2, 3)),
+            (CYCLOTOMIC, [1, 2]),
+            (CYCLOTOMIC, (1, 0.5)),
+            (CYCLOTOMIC, (True, 0)),
+        ],
+        ids=repr,
+    )
+    def test_non_payload_rejected(self, spec, value):
+        with pytest.raises(TypeError):
+            FieldElement(spec, value)
+
+    def test_float_never_reaches_a_polynomial(self):
+        # accepted before payloads were checked; squaring then failed on the float
+        with pytest.raises(TypeError):
+            Polynomial.from_terms(RATIONAL, 1, {(1,): FieldElement(RATIONAL, 0.5)})
 
 
 class TestIsSquare:

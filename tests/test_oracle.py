@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from simplexpoly import oracle
-from simplexpoly.field import RATIONAL, prime_field
+from simplexpoly.field import CHAR2, RATIONAL, prime_field
 from simplexpoly.poly import Polynomial, parse_polynomial, poly_to_text
 from simplexpoly.family import GParams, build_f, build_g, prekite_reduction
 from simplexpoly.classify import FactorizationCertificate, classify_g
@@ -156,7 +156,11 @@ class TestBruteForceSearch:
 
         def recording_tables(*args):
             started.append(args)
-            built.append(accept_tables(*args))
+            try:
+                built.append(accept_tables(*args))
+            except oracle._Refused:
+                built.append("raised")
+                raise
             return built[-1]
 
         monkeypatch.setattr(Polynomial, "exact_divide", counting_divide)
@@ -168,7 +172,7 @@ class TestBruteForceSearch:
             build_g(GParams.of(F5, 3, 1, 1)), SearchBudget(time_limit=1.0)
         )
         assert outcome == BudgetExceeded("time limit exceeded")
-        assert len(built) == 1 and built[0] is None
+        assert len(started) == 1 and built == ["raised"]
         assert divisions == []
 
     def test_rational_input_rejected(self):
@@ -483,6 +487,8 @@ class TestDiscriminantCheck:
             discriminant_check(Q, 2, 3)
         with pytest.raises(ValueError):
             discriminant_check(F7, 3, 9)  # 9 = 2 in F_7
+        with pytest.raises(ValueError):
+            discriminant_check(CHAR2, 3, 3)
 
 
 class TestRandomIdentityTest:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from operator import add
 from random import Random
@@ -34,6 +35,20 @@ from conftest import (
 
 Q = RATIONAL
 F5 = prime_field(5)
+# malformed polynomial text, and the error it raises
+MALFORMED = {
+    "": "empty polynomial text",
+    "x+": "dangling sign",
+    "(x": "unbalanced parentheses",
+    "x)": "unbalanced parentheses",
+    "x**y": "empty factor in term 'x**y'",
+    "x+-y": "dangling sign",
+    "-": "dangling sign",
+    "-*x": "empty factor in term '*x'",
+    "x*": "empty factor in term 'x*'",
+    "(1+2))*x": "unbalanced parentheses",
+    ")x(": "unbalanced parentheses",
+}
 
 
 def variables(field, arity):
@@ -264,6 +279,43 @@ class TestPermute:
             assert p.permute_variables(perm).permute_variables(inverse) == p
 
 
+class TestArgumentChecks:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: Polynomial.from_terms(Q, 2, {(1,): Q.one()}),
+            lambda: Polynomial.from_terms(Q, 2, {(1, 0, 0): Q.one()}),
+            lambda: Polynomial.from_terms(Q, 2, {(1, -1): Q.one()}),
+            lambda: Polynomial.from_terms(Q, 2, {(1, 0): F5.one()}),
+            lambda: Polynomial.variable(F5, 3, 3),
+            lambda: Polynomial.variable(F5, 3, -1),
+            lambda: Polynomial.zero(Q, 2).leading_coefficient(),
+            lambda: variables(Q, 2)[0] ** -1,
+            lambda: variables(Q, 2)[0].symmetric_reduce(0, 0),
+            lambda: variables(Q, 2)[0].symmetric_reduce(0, 2),
+            lambda: poly_to_text(variables(Q, 2)[0], ["x", "x"]),
+            lambda: poly_to_text(variables(Q, 2)[0], ["x"]),
+        ],
+        ids=[
+            "short-monomial",
+            "long-monomial",
+            "negative-exponent",
+            "foreign-coefficient",
+            "variable-past-arity",
+            "negative-variable",
+            "leading-coefficient-of-zero",
+            "negative-power",
+            "reduce-same-position",
+            "reduce-past-arity",
+            "repeated-name",
+            "too-few-names",
+        ],
+    )
+    def test_bad_arguments_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+
 class TestExactDivide:
     def test_difference_of_squares(self):
         x, y = variables(Q, 2)
@@ -368,9 +420,9 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             poly_to_text(Polynomial.zero(CYCLOTOMIC, 1), ["w"])
 
-    @pytest.mark.parametrize("text", ["", "x+", "(x", "x)", "x**y"])
+    @pytest.mark.parametrize("text", list(MALFORMED))
     def test_malformed_text_rejected(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(MALFORMED[text])):
             parse_polynomial(text, Q, 2, ["x", "y"])
 
     def test_roundtrip_random(self, any_field):
