@@ -5,7 +5,7 @@ a human-readable view instead). Reports are deterministic for identical
 inputs and seeds; wall-clock timing is only included with ``--timing``.
 
 Exit codes: 0 success, 1 usage error, 2 search or size budget exceeded,
-3 internal exact-identity failure.
+3 internal error: a failed exact identity or an unexpected exception.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from random import Random
 from typing import Dict, Optional, Sequence, Union
 
@@ -120,35 +121,10 @@ def _poly_payload(p: Polynomial, names: Sequence[str]) -> Dict[str, object]:
     }
 
 
-def _report(args: argparse.Namespace, payload: Dict[str, object], started: float) -> Dict[str, object]:
-    inputs = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("func", "pretty", "timing") and not k.startswith("_") and v is not None
-    }
-    return {
-        "subcommand": args.subcommand,
-        "inputs": inputs,
-        "payload": payload,
-        "timing_s": round(time.monotonic() - started, 6) if args.timing else None,
-        "version": __version__,
-    }
-
-
-def _print_report(report: Dict[str, object], pretty: bool) -> None:
-    if not pretty:
-        print(json.dumps(report, sort_keys=True))
-        return
-    print(f"# {report['subcommand']} (simplexpoly {report['version']})")
-    for key, value in report["inputs"].items():  # type: ignore[union-attr]
-        print(f"  {key} = {value}")
-    print(json.dumps(report["payload"], indent=2, sort_keys=True))
-
-
 # -- subcommands -------------------------------------------------------------------
 
 
-def cmd_construct(args: argparse.Namespace) -> int:
+def cmd_construct(args: argparse.Namespace) -> Dict[str, object]:
     field = parse_field(args.field)
     if isinstance(field, Char2Token):
         raise UsageError("construct requires a concrete field, not the char-2 token")
@@ -174,22 +150,19 @@ def cmd_construct(args: argparse.Namespace) -> int:
             raise UsageError("prekite requires --n")
         m_star, h = prekite_reduction(args.n, field)
         names = prekite_names(args.n)
-        payload = {
+        return {
             "reduced_determinant": _poly_payload(m_star, names),
             "quartic_core": _poly_payload(h, names),
         }
-        return _emit(args, payload)
     else:  # special substitution family
         if args.n is None or args.rule is None:
             raise UsageError("special requires --n and --rule")
         p = special_family_substitution(args.n, SubstitutionRule(args.rule), field)
         names = default_names(args.n + 1)
-    payload = _poly_payload(p, names)
-    del p  # the payload holds its own monomials: free the polynomial before encoding
-    return _emit(args, payload)
+    return _poly_payload(p, names)
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace) -> Dict[str, object]:
     field = parse_field(args.field)
     if args.cayley_menger:
         if args.n is None:
@@ -205,10 +178,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
         else:
             verdict = classify_g(GParams.of(field, args.m, args.a, args.t))
         names = default_names(args.m)
-    return _emit(args, verdict_to_json(verdict, names))
+    return verdict_to_json(verdict, names)
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args: argparse.Namespace) -> Dict[str, object]:
     field = prime_field(args.field)
     names = args.vars.split(",") if args.vars else None
     if names is None:
@@ -222,23 +195,17 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     )
     outcome = brute_force_factor_search(p, budget)
     if isinstance(outcome, FactorFound):
-        payload: Dict[str, object] = {
+        return {
             "outcome": "factor-found",
             "factor": poly_to_text(outcome.factor, names),
             "quotient": poly_to_text(outcome.quotient, names),
         }
-        return _emit(args, payload)
     if isinstance(outcome, NoFactorFound):
-        payload = {
-            "outcome": "no-factor-found",
-            "candidates_tried": outcome.candidates_tried,
-        }
-        return _emit(args, payload)
-    payload = {"outcome": "budget-exceeded", "reason": outcome.reason}
-    return _emit(args, payload, code=EXIT_BUDGET)
+        return {"outcome": "no-factor-found", "candidates_tried": outcome.candidates_tried}
+    return {"outcome": "budget-exceeded", "reason": outcome.reason}
 
 
-def cmd_geometry(args: argparse.Namespace) -> int:
+def cmd_geometry(args: argparse.Namespace) -> Dict[str, object]:
     if args.action == "verify":
         if args.samples < 1:
             raise UsageError(f"--samples must be at least 1, got {args.samples}")
@@ -259,25 +226,23 @@ def cmd_geometry(args: argparse.Namespace) -> int:
             if len(first) < 10:
                 first.append(r)
             peak = max(peak, abs(r))
-        payload: Dict[str, object] = {
+        return {
             "n": args.n,
             "edge": args.a,
             "samples": args.samples,
             "max_abs_residual": peak,
             "first_residuals": first,
         }
-        return _emit(args, payload)
     known = [float(v) for v in args.known.split(",")]
     solutions = solve_fourth_distance(known)
-    payload = {
+    return {
         "known": known,
         "solutions": solutions,
         "residuals": [quadruple_residual(v, known) for v in solutions],
     }
-    return _emit(args, payload)
 
 
-def cmd_diophantine(args: argparse.Namespace) -> int:
+def cmd_diophantine(args: argparse.Namespace) -> Dict[str, object]:
     solutions = enumerate_solutions(args.bound)
     if args.primitive_only:
         solutions = [s for s in solutions if s.primitive]
@@ -289,12 +254,28 @@ def cmd_diophantine(args: argparse.Namespace) -> int:
     }
     if args.report_realizability:
         payload["realizability"] = [realizability_report(s) for s in solutions]
-    return _emit(args, payload)
+    return payload
 
 
-def _emit(args: argparse.Namespace, payload: Dict[str, object], code: int = EXIT_OK) -> int:
+def _emit(args: argparse.Namespace, payload: Dict[str, object], started: float) -> None:
+    """Print the report of one subcommand: JSON, or a readable view with --pretty."""
+    hidden = ("func", "pretty", "timing")
+    inputs = {k: v for k, v in sorted(vars(args).items()) if k not in hidden and v is not None}
     try:
-        _print_report(_report(args, payload, args._started), args.pretty)
+        if args.pretty:
+            print(f"# {args.subcommand} (simplexpoly {__version__})")
+            for key, value in inputs.items():
+                print(f"  {key} = {value}")
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            report = {
+                "subcommand": args.subcommand,
+                "inputs": inputs,
+                "payload": payload,
+                "timing_s": round(time.monotonic() - started, 6) if args.timing else None,
+                "version": __version__,
+            }
+            print(json.dumps(report, sort_keys=True))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout; send what is still buffered to devnull so
@@ -302,7 +283,6 @@ def _emit(args: argparse.Namespace, payload: Dict[str, object], code: int = EXIT
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-    return code
 
 
 # -- wiring ------------------------------------------------------------------------
@@ -377,8 +357,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if argv[i - 1] in ("--a", "--t", "--poly") and argv[i][:1] == "-" and argv[i][:2] != "--":
                 argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
         args = build_parser().parse_args(argv)
-        args._started = started
-        return args.func(args)
+        payload = args.func(args)
+        _emit(args, payload, started)
+        return EXIT_BUDGET if payload.get("outcome") == "budget-exceeded" else EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -394,7 +375,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+    except Exception as exc:  # a fault of the library, not of the input: never a usage error
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        code = EXIT_INTERNAL
+    sys.exit(code)
 
 
 if __name__ == "__main__":

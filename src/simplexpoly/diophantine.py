@@ -121,20 +121,24 @@ def realizability_report(sol: SolutionTuple) -> Dict[str, object]:
     """Which entries of the quadruple can act as the triangle side.
 
     For each choice of side, tries to place a planar point at the remaining
-    three distances from an equilateral triangle of that side. Reported for
-    information only: the relation is necessary for realizability, not
-    sufficient.
+    three distances from an equilateral triangle of that side. With a
+    positive side the relation is also sufficient: as a monic quadratic in
+    the square of the third distance, its discriminant is 48 Area^2 of the
+    triangle (side, d1, d2) (Heron), so a real root needs that triangle,
+    and the roots are the squared distances of its two mirror-image points
+    to the third vertex. The relation is symmetric, and entries up to
+    1000 have squares and fourth powers that sum exactly in floats, so its
+    residual is the same for every side.
     """
     values = [float(v) for v in sol.values]
-    realizable, residuals = [], []
-    for i, side in enumerate(values):
-        rest = values[:i] + values[i + 1 :]
-        residuals.append(quadruple_residual(side, rest))
-        if side > 0 and realize_in_plane(side, *rest) is not None:
-            realizable.append(i)
+    residual = quadruple_residual(values[0], values[1:])
+    realizable = [
+        i for i, side in enumerate(values)
+        if side > 0 and realize_in_plane(side, *values[:i], *values[i + 1 :]) is not None
+    ]
     return {
         "values": list(sol.values),
         "primitive": sol.primitive,
         "side_positions_realizable": realizable,
-        "relation_residuals": residuals,
+        "relation_residuals": [residual] * len(values),
     }

@@ -145,27 +145,21 @@ class FieldSpec:
         return self.from_int(1)
 
     def from_int(self, n: int) -> "FieldElement":
-        if self.kind == PRIME_KIND:
-            return FieldElement(self, n % self.p)
-        if self.kind == RATIONAL_KIND:
-            return FieldElement(self, n)
-        return FieldElement(self, (n, 0))
+        return FieldElement(self, (n, 0) if self.kind == CYCLOTOMIC_KIND else n)
 
     def from_fraction(self, q: Fraction) -> "FieldElement":
         if self.kind != PRIME_KIND:
-            q = _rational(Fraction(q))
+            q = Fraction(q)
             return FieldElement(self, q if self.kind == RATIONAL_KIND else (q, 0))
         if q.denominator % self.p == 0:
             raise ZeroDivisionError(f"denominator of {q} vanishes mod {self.p}")
-        return FieldElement(
-            self, q.numerator * pow(q.denominator, -1, self.p) % self.p
-        )
+        return FieldElement(self, q.numerator * pow(q.denominator, -1, self.p))
 
     def omega_element(self, r: Fraction, s: Fraction) -> "FieldElement":
         """The element r + s*w of Q(w)."""
         if self.kind != CYCLOTOMIC_KIND:
             raise ValueError("omega_element is only defined for Q(w)")
-        return FieldElement(self, (_rational(Fraction(r)), _rational(Fraction(s))))
+        return FieldElement(self, (Fraction(r), Fraction(s)))
 
     def coerce(self, value: Union["FieldElement", int, Fraction, str]) -> "FieldElement":
         """Map an integer, fraction, literal string, or element into this field."""
@@ -173,8 +167,6 @@ class FieldSpec:
             if value.spec != self:
                 raise ValueError(f"element of {value.spec} used in {self}")
             return value
-        if isinstance(value, bool):
-            raise TypeError("bool is not a field value")
         if isinstance(value, int):
             return self.from_int(value)
         if isinstance(value, Fraction):
@@ -331,7 +323,7 @@ def is_square(a: FieldElement) -> Optional[FieldElement]:
 
     def back(alpha: Fraction, beta: Fraction) -> FieldElement:
         # sqrt(-3) = 1 + 2w
-        return FieldElement(spec, (_rational(alpha + beta), _rational(2 * beta)))
+        return FieldElement(spec, (alpha + beta, 2 * beta))
 
     if v == 0:
         alpha = _fraction_sqrt(u)
@@ -417,4 +409,4 @@ def parse_element(spec: FieldSpec, text: str) -> FieldElement:
                 s += Fraction(body)
         else:
             r += Fraction(term)
-    return FieldElement(spec, (_rational(r), _rational(s)))
+    return FieldElement(spec, (r, s))

@@ -375,17 +375,15 @@ def brute_force_factor_search(
     degree_cap = half if budget.max_degree is None else min(budget.max_degree, half)
     exhaustive = degree_cap == half
 
-    # total counts every monic candidate, work the ones enumerated: the
-    # monic degree-d forms, then (for inhomogeneous p) the runs of the forms
-    # that divide p's leading form, q^(monomials of degree < d) tails each
-    total = work = 0
-    for d in range(1, degree_cap + 1):
-        forms = (q ** comb(p.arity + d - 1, d) - 1) // (q - 1)
-        work += forms
-        total += forms * (1 if homogeneous else q ** comb(p.arity + d - 1, p.arity))
-
     deadline = time.monotonic() + (inf if budget.time_limit is None else budget.time_limit)
+    # work counts the monic candidates enumerated: the monic degree-d forms,
+    # then (for inhomogeneous p) the runs of the forms that divide p's
+    # leading form, q^(monomials of degree < d) tails each
+    work = 0
     try:
+        for d in range(1, degree_cap + 1):
+            _check_deadline(deadline)
+            work += (q ** comb(p.arity + d - 1, d) - 1) // (q - 1)
         _check_candidates(work, budget)
         if degree_cap:
             # refused before the filter lines, whose power table has q rows
@@ -408,5 +406,8 @@ def brute_force_factor_search(
         return BudgetExceeded(
             f"degree cap {degree_cap} below half the input degree {half}"
         )
-    # every block ran to its end, so all total candidates were ruled out
-    return NoFactorFound(total)
+    # every block ran to its end, so every monic candidate was ruled out: the
+    # forms of a homogeneous p, else the polynomials of degree 1..half with a
+    # leading coefficient 1, (q^N - q) / (q - 1) of them, N the monomials of
+    # degree <= half
+    return NoFactorFound(work if homogeneous else (q ** comb(p.arity + half, p.arity) - q) // (q - 1))

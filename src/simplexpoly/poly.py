@@ -515,6 +515,8 @@ def parse_polynomial(
             m = _FACTOR.match(factor)
             if m and m.group(1) in index:
                 exps[index[m.group(1)]] += int(m.group(2) or 1)
+            elif m and not (field.kind == CYCLOTOMIC_KIND and m.group(1) == "w"):
+                raise ValueError(f"unknown factor {factor!r}: the variables are {', '.join(index)}")
             elif factor.startswith("(") and factor.endswith(")"):
                 coeff = coeff * parse_element(field, factor[1:-1])
             else:

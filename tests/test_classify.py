@@ -297,6 +297,12 @@ class TestCertificates:
         )
         assert not verify_certificate(flipped)
 
+    def test_certificate_without_factors_is_its_unit(self):
+        rule = classify.ClassificationRule("Constant", {})
+        three = Polynomial.constant(Q, 2, 3)
+        assert verify_certificate(FactorizationCertificate(three, Q.from_int(3), (), rule))
+        assert not verify_certificate(FactorizationCertificate(three, Q.from_int(5), (), rule))
+
     def test_every_emitted_certificate_verifies(self):
         rng = Random(31)
         fields = [Q, F3, F5, F7, F13, CYCLOTOMIC]

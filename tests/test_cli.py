@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given
 
 import simplexpoly
-from simplexpoly import cli, diophantine
+from simplexpoly import classify, cli, diophantine
 from simplexpoly.cli import (
     EXIT_BUDGET,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     check_g_size,
@@ -457,6 +458,38 @@ def test_char2_report_pinned(capsys, m, a, t, digest):
     got, out = run(capsys, "classify", "--field", "char2", "--m", m, "--a", a, "--t", t)
     assert got == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestInternalErrors:
+    HERON = ["classify", "--field", "Q", "--m", "3", "--a", "0", "--t", "2"]
+
+    def test_failed_identity_exits_internal(self, monkeypatch, capsys):
+        monkeypatch.setattr(classify, "verify_certificate", lambda cert: False)
+        assert main(self.HERON) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal check failed: certificate product check failed")
+
+    def test_unexpected_exception_exits_internal_and_is_named(self, monkeypatch, capsys):
+        def broken(params):
+            raise KeyError("x9")
+
+        monkeypatch.setattr(cli, "classify_g", broken)
+        with pytest.raises(KeyError):  # in-process callers see the exception itself
+            main(self.HERON)
+        monkeypatch.setattr(sys, "argv", ["simplexpoly", *self.HERON])
+        with pytest.raises(SystemExit) as exited:
+            cli.entrypoint()
+        assert exited.value.code == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("Traceback")
+        assert captured.err.endswith("\ninternal error: KeyError: 'x9'\n")
+
+    def test_rejected_input_stays_a_usage_error(self, capsys):
+        argv = ["oracle", "--poly", "x^2+z", "--field", "5", "--vars", "x,y"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: unknown factor 'z': the variables are x, y\n"
 
 
 class TestReportShape:

@@ -240,6 +240,16 @@ class TestRealizability:
         for s in enumerate_solutions(200):
             assert realizability_report(s) == reference_realizability_report(s), s.values
 
+    def test_every_nonzero_side_realizable_up_to_300(self):
+        # with a positive side the relation is also sufficient: in the square of
+        # the third distance its discriminant is 48 Area^2 of (side, d1, d2)
+        solutions = enumerate_solutions(300)
+        assert len(solutions) == 454
+        for s in solutions:
+            report = realizability_report(s)
+            assert report["side_positions_realizable"] == [i for i, v in enumerate(s.values) if v]
+            assert report["relation_residuals"] == [0.0] * 4
+
     def test_every_enumerated_tuple_reported(self):
         # the relation is necessary, not sufficient: report, never assert
         for s in enumerate_solutions(10):

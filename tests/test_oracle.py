@@ -175,6 +175,19 @@ class TestBruteForceSearch:
         assert len(started) == 1 and built == ["raised"]
         assert divisions == []
 
+    def test_time_limit_holds_while_candidates_are_counted(self, monkeypatch):
+        # x^100000 + 1 over F_3 has 50,000 candidate degrees, and summing their
+        # q^d tails up front once took seconds; the clock passes the deadline
+        # right after it is set, so the search must stop before any search starts
+        clock, searches, search = iter([0.0]), [], oracle._Search
+        monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=lambda: next(clock, 100.0)))
+        monkeypatch.setattr(oracle, "_Search", lambda *args: searches.append(args) or search(*args))
+        outcome = brute_force_factor_search(
+            parse_polynomial("x^100000+1", F3, 1, ["x"]), SearchBudget(time_limit=1.0)
+        )
+        assert outcome == BudgetExceeded("time limit exceeded")
+        assert searches == []
+
     def test_rational_input_rejected(self):
         with pytest.raises(ValueError):
             brute_force_factor_search(build_f(Q, 3, 2))

@@ -48,6 +48,9 @@ MALFORMED = {
     "x*": "empty factor in term 'x*'",
     "(1+2))*x": "unbalanced parentheses",
     ")x(": "unbalanced parentheses",
+    "x^2+z": "unknown factor 'z': the variables are x, y",
+    "w*x": "unknown factor 'w': the variables are x, y",
+    "x*nan^2": "unknown factor 'nan^2'",
 }
 
 
@@ -424,6 +427,13 @@ class TestTextFormat:
     def test_malformed_text_rejected(self, text):
         with pytest.raises(ValueError, match=re.escape(MALFORMED[text])):
             parse_polynomial(text, Q, 2, ["x", "y"])
+
+    def test_w_is_a_literal_over_q_w_only(self):
+        x, y = variables(CYCLOTOMIC, 2)
+        w = CYCLOTOMIC.omega_element(0, 1)
+        assert parse_polynomial("w*x - y^2", CYCLOTOMIC, 2, ["x", "y"]) == x.scale(w) - y**2
+        with pytest.raises(ValueError, match="unknown factor 'u': the variables are x, y"):
+            parse_polynomial("w*u", CYCLOTOMIC, 2, ["x", "y"])
 
     def test_roundtrip_random(self, any_field):
         rng = Random(23)
