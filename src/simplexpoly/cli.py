@@ -174,7 +174,13 @@ def cmd_classify(args: argparse.Namespace) -> Dict[str, object]:
             raise UsageError("classify requires --m, --a and --t (or --cayley-menger)")
         check_g_size(args.m)
         if isinstance(field, Char2Token):
-            verdict = classify_g(Char2GParams(args.m, int(args.a), int(args.t)))
+            try:
+                a, t = int(args.a), int(args.t)
+            except ValueError:
+                raise UsageError(
+                    f"char2 takes integer literals for --a and --t, got {args.a!r} and {args.t!r}"
+                ) from None
+            verdict = classify_g(Char2GParams(args.m, a, t))
         else:
             verdict = classify_g(GParams.of(field, args.m, args.a, args.t))
         names = default_names(args.m)
@@ -189,7 +195,6 @@ def cmd_oracle(args: argparse.Namespace) -> Dict[str, object]:
     p = parse_polynomial(args.poly, field, len(names), names)
     budget = SearchBudget(
         max_degree=args.max_degree,
-        max_field_size=args.max_field_size,
         homogeneous_only=args.homogeneous,
         time_limit=args.time_limit,
     )
@@ -323,7 +328,6 @@ def build_parser() -> _Parser:
     o.add_argument("--field", type=int, required=True, help="odd prime modulus")
     o.add_argument("--vars", required=True, help="comma-separated variable names")
     o.add_argument("--max-degree", type=int)
-    o.add_argument("--max-field-size", type=int, default=SearchBudget.max_field_size)
     o.add_argument("--homogeneous", action="store_true")
     o.add_argument("--time-limit", type=float)
     o.set_defaults(func=cmd_oracle)

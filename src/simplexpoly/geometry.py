@@ -76,12 +76,17 @@ def regular_simplex(n: int, a: float) -> RegularSimplex:
     return RegularSimplex(n, a, vertices)
 
 
-def relation_value(side: float, distances: Sequence[float]) -> float:
-    """Unnormalized relation defect (a^2 + sum d^2)^2 - (n+1)(a^4 + sum d^4)."""
-    n_plus_1 = len(distances)
+def _relation_sides(side: float, distances: Sequence[float]) -> Tuple[float, float]:
+    """The relation's two sides, (a^2 + sum d^2)^2 and (n+1)(a^4 + sum d^4)."""
     sq = side * side + sum(d * d for d in distances)
     quart = side**4 + sum(d**4 for d in distances)
-    return sq * sq - n_plus_1 * quart
+    return sq * sq, len(distances) * quart
+
+
+def relation_value(side: float, distances: Sequence[float]) -> float:
+    """Unnormalized relation defect (a^2 + sum d^2)^2 - (n+1)(a^4 + sum d^4)."""
+    lhs, rhs = _relation_sides(side, distances)
+    return lhs - rhs
 
 
 def relation_residual(simplex: RegularSimplex, weights: Sequence[float]) -> DistanceTuple:
@@ -153,11 +158,8 @@ def solve_fourth_distance(known: Sequence[float]) -> List[float]:
 
 def quadruple_residual(side: float, distances: Sequence[float]) -> float:
     """Relation defect normalized by the largest participating term."""
-    n_plus_1 = len(distances)
-    sq = side * side + sum(d * d for d in distances)
-    quart = side**4 + sum(d**4 for d in distances)
-    scale = max(1.0, sq * sq, abs(n_plus_1 * quart))
-    return (sq * sq - n_plus_1 * quart) / scale
+    lhs, rhs = _relation_sides(side, distances)
+    return (lhs - rhs) / max(1.0, lhs, abs(rhs))
 
 
 def realize_in_plane(side: float, d1: float, d2: float, d3: float) -> Optional[np.ndarray]:

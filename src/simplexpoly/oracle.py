@@ -14,7 +14,8 @@ first collects its monic divisors of degree d, when the search reaches d;
 with the degree-d monomials as the high digits of a candidate's index, a
 divisor of index r fixes the indices [r q^k, (r+1) q^k), k the number of
 lower monomials, and only those runs are enumerated. Skipped runs still
-count in ``candidates_tried``; the budget counts forms and runs enumerated.
+count in ``candidates_tried``; the budget counts forms and runs enumerated,
+charged one degree at a time, right before that degree is searched.
 
 The search is exhaustive within its budget or reports BudgetExceeded, never
 a silent partial answer. A cheap necessary-condition filter prunes
@@ -50,14 +51,14 @@ class SearchBudget:
     """Limits for the exhaustive search.
 
     ``max_degree`` caps the candidate degree (None: up to half the input
-    degree); ``max_field_size`` caps the prime modulus; ``homogeneous_only``
-    refuses non-homogeneous inputs outright; ``max_candidates`` caps the
-    candidates enumerated (for a non-homogeneous input, the leading forms
-    searched and the runs they leave); ``time_limit`` is wall-clock seconds.
+    degree); ``homogeneous_only`` refuses non-homogeneous inputs outright;
+    ``max_candidates`` caps the candidates enumerated through the degree
+    being searched (for a non-homogeneous input, the leading forms searched
+    and the runs they leave); ``time_limit`` is wall-clock seconds. The
+    accept tables of one degree have a fixed budget, _MAX_TABLE_BYTES.
     """
 
     max_degree: Optional[int] = None
-    max_field_size: int = 13
     homogeneous_only: bool = False
     time_limit: Optional[float] = None
     max_candidates: int = 80_000_000
@@ -65,8 +66,6 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if self.max_degree is not None and self.max_degree < 1:
             raise ValueError(f"max_degree must be at least 1, got {self.max_degree}")
-        if self.max_field_size < 3:
-            raise ValueError(f"max_field_size must be at least 3, got {self.max_field_size}")
         # NaN fails this test too: a NaN deadline would never pass
         if self.time_limit is not None and not self.time_limit >= 0:
             raise ValueError(f"time_limit must be nonnegative, got {self.time_limit}")
@@ -104,34 +103,38 @@ def _monomials_desc(arity: int, degree: int, exact: bool) -> List[Monomial]:
     return monos
 
 
-def _line_matrix(
-    monos: Sequence[Monomial],
-    coords: Sequence,
-    vy: Union[int, Sequence[int]],
-    q: int,
-    deg: int,
-) -> np.ndarray:
-    """(deg+1) x len(monos) map from coefficients to y-coefficients on a line.
+def _line_values(
+    monos: Sequence[Monomial], coords: Sequence, vy: Union[int, Sequence[int]], q: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The value of each of monos on a line, and its y-degree there.
 
-    The line pins every variable except vy to coords, in order; column j
-    holds the value of monos[j] there, in the row of its y-degree. Lines
-    stack: coords of shape (..., arity-1) and vy of shape (...) give maps
-    of shape (..., deg+1, len(monos)).
+    The line pins every variable except vy to coords, in order. Lines stack:
+    coords of shape (..., arity-1) and vy of shape (...) give (..., len(monos)).
     """
     exps = np.asarray(monos, dtype=np.int64).reshape(len(monos), -1)
     vy = np.asarray(vy)
     free = np.arange(exps.shape[1]) == vy[..., None]
     point = np.ones(free.shape, dtype=np.int64)  # the free variable's powers are 1
     point[~free] = np.ravel(coords)
-    power = np.ones((q, deg + 1), dtype=np.int64)  # power[c, e] = c^e mod q
-    for e in range(deg):
-        power[:, e + 1] = power[:, e] * np.arange(q) % q
-    factors = power[point[..., None, :], exps]
+    # factors[..., j, i] = point[..., i]^exps[j, i] mod q, by repeated squaring:
+    # no table of every residue's powers, whose q (deg+1) entries could dwarf p
+    base = point[..., None, :]
+    factors = np.where(exps & 1, base, 1)
+    for bit in range(1, int(exps.max(initial=0)).bit_length()):
+        base = base * base % q
+        factors = np.where(exps >> bit & 1, factors * base % q, factors)
     values = factors[..., 0]
     for i in range(1, exps.shape[1]):
         values = values * factors[..., i] % q
-    rows = exps.T[vy][..., None, :] == np.arange(deg + 1)[:, None]
-    return np.where(rows, values[..., None, :], 0)
+    return values, exps.T[vy]
+
+
+def _line_matrix(
+    monos: Sequence[Monomial], coords: Sequence, vy: Union[int, Sequence[int]], q: int, deg: int
+) -> np.ndarray:
+    """(..., deg+1, len(monos)) maps: column j holds monos[j]'s value in its y-degree's row."""
+    values, ydeg = _line_values(monos, coords, vy, q)
+    return np.where(ydeg[..., None, :] == np.arange(deg + 1)[:, None], values[..., None, :], 0)
 
 
 def _spread(count: int) -> Iterator[int]:
@@ -174,8 +177,11 @@ def _filter_lines(
     # most lines qualify, so the candidates are restricted _LINES at a time
     while len(lines) < _LINES and (batch := list(islice(candidates, _LINES))):
         vys, points = zip(*batch)
-        restricted = _line_matrix(monos, points, vys, q, deg) @ coeffs % q
-        lines += [(vy, c, r) for vy, c, r in zip(vys, points, restricted) if r.any()]
+        # each term added into its y-degree: no (deg+1) x terms map per line
+        values, ydeg = _line_values(monos, points, vys, q)
+        restricted = np.zeros((len(batch), deg + 1), dtype=np.int64)
+        np.add.at(restricted, (np.arange(len(batch))[:, None], ydeg), values * coeffs)
+        lines += [(vy, c, r) for vy, c, r in zip(vys, points, restricted % q) if r.any()]
     return lines[:_LINES]
 
 
@@ -247,9 +253,10 @@ def _check_deadline(deadline: float) -> None:
         raise _Refused("time limit exceeded")
 
 
-def _check_candidates(work: int, budget: SearchBudget) -> None:
+def _check_candidates(work: int, d: int, budget: SearchBudget) -> None:
+    # the count itself is not formatted: it may run to thousands of digits
     if work > budget.max_candidates:
-        raise _Refused(f"candidate space of {work} exceeds budget {budget.max_candidates}")
+        raise _Refused(f"candidate space through degree {d} exceeds budget {budget.max_candidates}")
 
 
 def _check_table(q: int, d: int) -> int:
@@ -271,6 +278,8 @@ class _Search:
 
     def __init__(self, p: Polynomial, deadline: float) -> None:
         self.p, self.q, self.deadline = p, p.field.p, deadline
+        # before the filter lines: it bounds q, and so their int64 products
+        _check_table(self.q, 1)
         self.homogeneous, _ = p.is_homogeneous()
         deg = p.degree()
         self.lines = _filter_lines(p, self.q, deg)
@@ -365,8 +374,6 @@ def brute_force_factor_search(
     if deg is None or deg == 0:
         raise ValueError("input must be nonconstant")
     q = p.field.p
-    if q > budget.max_field_size:
-        return BudgetExceeded(f"field size {q} exceeds budget {budget.max_field_size}")
     homogeneous, _ = p.is_homogeneous()
     if budget.homogeneous_only and not homogeneous:
         return BudgetExceeded("input is not homogeneous")
@@ -376,27 +383,24 @@ def brute_force_factor_search(
     exhaustive = degree_cap == half
 
     deadline = time.monotonic() + (inf if budget.time_limit is None else budget.time_limit)
-    # work counts the monic candidates enumerated: the monic degree-d forms,
-    # then (for inhomogeneous p) the runs of the forms that divide p's
-    # leading form, q^(monomials of degree < d) tails each
+    # work counts the monic candidates enumerated, charged just before degree d
+    # is searched: the monic degree-d forms, then (for inhomogeneous p) the runs
+    # of the forms that divide p's leading form, q^(monomials of degree < d) each
     work = 0
     try:
         for d in range(1, degree_cap + 1):
             _check_deadline(deadline)
             work += (q ** comb(p.arity + d - 1, d) - 1) // (q - 1)
-        _check_candidates(work, budget)
-        if degree_cap:
-            # refused before the filter lines, whose power table has q rows
-            _check_table(q, 1)
-            search = _Search(p, deadline)
-            # leading forms multiply, so a divisor's degree-d form divides p's
-            # leading form: an inhomogeneous p needs only the runs of those forms
-            leading = None if homogeneous else _Search(p.leading_homogeneous_component(), deadline)
-        for d in range(1, degree_cap + 1):
+            _check_candidates(work, d, budget)
+            if d == 1:
+                search = _Search(p, deadline)
+                # leading forms multiply, so a divisor's degree-d form divides p's
+                # leading form: an inhomogeneous p needs only the runs of those forms
+                leading = None if homogeneous else _Search(p.leading_homogeneous_component(), deadline)
             runs = None if leading is None else [index for index, _ in leading.divisors(d)]
             if runs is not None:
                 work += len(runs) * q ** comb(p.arity + d - 1, p.arity)
-                _check_candidates(work, budget)
+                _check_candidates(work, d, budget)
             for _, found in search.divisors(d, runs):
                 return found
     except _Refused as refused:

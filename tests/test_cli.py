@@ -71,6 +71,12 @@ class TestClassifyCommand:
         assert code == EXIT_OK
         assert report["payload"]["verdict"] == "zero-polynomial"
 
+    @pytest.mark.parametrize("a, t", [("1/2", "0"), ("1", "w")])
+    def test_char2_non_integer_literal_is_usage_error(self, capsys, a, t):
+        assert main(["classify", "--field", "char2", "--m", "3", "--a", a, "--t", t]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: char2 takes integer literals for --a and --t")
+
     def test_char2_certificate_at_large_m(self, capsys):
         # (a + x_1 + ... + x_117)^4 has 8.5 M terms over Q; mod 2 it has 118
         code, report = run_json(
@@ -244,7 +250,7 @@ class TestOracleCommand:
     def test_accept_table_budget_exit_code(self, capsys, small_arrays):
         code, report = run_json(
             capsys, "oracle", "--poly", "x^4+y^4", "--field", "1999", "--vars", "x,y",
-            "--homogeneous", "--max-field-size", "2000",
+            "--homogeneous",
         )
         assert code == EXIT_BUDGET
         assert report["payload"]["reason"].startswith("accept table of ")
@@ -255,7 +261,6 @@ class TestOracleCommand:
             ["--max-degree", "-1"],
             ["--time-limit", "-1"],
             ["--time-limit", "nan"],
-            ["--max-field-size", "2"],
         ],
     )
     def test_out_of_range_budget_is_usage_error(self, capsys, option):
@@ -274,6 +279,24 @@ class TestOracleCommand:
     def test_empty_vars_is_usage_error(self, capsys):
         argv = ["oracle", "--poly", "x+1", "--field", "5", "--vars", ""]
         assert main(argv) == EXIT_USAGE
+
+    def test_candidate_count_past_4300_digits_is_a_budget_refusal(self, capsys):
+        # the 3^10000 linear forms are refused by degree, never formatted
+        names = ",".join(f"x{i}" for i in range(1, 10_001))
+        code, report = run_json(capsys, "oracle", "--field", "3", "--vars", names,
+                                "--poly", "x1^2+x2^2")
+        assert code == EXIT_BUDGET
+        assert report["payload"]["reason"] == (
+            "candidate space through degree 1 exceeds budget 80000000"
+        )
+
+    def test_field_above_13_searched(self, capsys):
+        # -1 = 4^2 over F_17, so x^2 + y^2 = (x + 4y)(x - 4y)
+        code, report = run_json(
+            capsys, "oracle", "--field", "17", "--vars", "x,y", "--poly", "x^2+y^2"
+        )
+        assert code == EXIT_OK
+        assert report["payload"]["factor"] == "x + 4*y"
 
 
 class TestGeometryCommand:
@@ -427,9 +450,9 @@ README_EXAMPLES = [
     ("construct --family prekite --n 4", 0,
      "f9f4dd9b02780555edf9be7a94a17fa9c011fd844c84be6793e8eae50b04a7fa"),
     ("oracle --poly x^2+y^2 --field 5 --vars x,y", 0,
-     "1bafe300c6f06300003a9bce8878c3d0142eef21da195b18603d1db69e535b35"),
+     "88cb6a134ff86d6b0eea9ad9f17c4414734f230ace579b395308b9fdb2fc2d14"),
     ("oracle --poly x^4+x^2*y^2+y^4 --field 7 --vars x,y --homogeneous", 0,
-     "4ac1a15bded6ad236d6dfbb2a44a32035b43d5888d73d48390091a998f36f433"),
+     "43d38a2a5b0e43792acf5e21e2505d63a7a9877d44c0ddcf5877fe4fb11fedfe"),
     ("diophantine --bound 20 --primitive-only", 0,
      "d0e36691efdfd90691982b81e546a85870bce27da16959892bdba4f85bfdddf3"),
 ]

@@ -251,7 +251,8 @@ class TestRealizability:
             assert report["relation_residuals"] == [0.0] * 4
 
     def test_every_enumerated_tuple_reported(self):
-        # the relation is necessary, not sufficient: report, never assert
+        # with a positive side the relation is also sufficient (asserted up to
+        # 300 above); here every tuple, zero sides included, gets a report
         for s in enumerate_solutions(10):
             report = realizability_report(s)
             assert set(report["side_positions_realizable"]) <= {0, 1, 2, 3}

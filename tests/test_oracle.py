@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 from math import inf
 from random import Random
@@ -65,12 +66,6 @@ class TestBruteForceSearch:
         outcomes = {brute_force_factor_search(p) for _ in range(3)}
         assert len(outcomes) == 1
 
-    def test_field_size_budget(self):
-        outcome = brute_force_factor_search(
-            build_f(F7, 3, 2), SearchBudget(max_field_size=5)
-        )
-        assert isinstance(outcome, BudgetExceeded)
-
     def test_homogeneous_only_refuses_inhomogeneous(self):
         outcome = brute_force_factor_search(
             build_g(GParams.of(F5, 3, 1, 1)), SearchBudget(homogeneous_only=True)
@@ -97,10 +92,25 @@ class TestBruteForceSearch:
         # run holds 13^4 candidates, and no linear one
         p = build_g(GParams.of(prime_field(13), 3, 1, 0))
         assert brute_force_factor_search(p, SearchBudget(max_candidates=430977)) == (
-            BudgetExceeded("candidate space of 430978 exceeds budget 430977")
+            BudgetExceeded("candidate space through degree 2 exceeds budget 430977")
         )
         outcome = brute_force_factor_search(p, SearchBudget(max_candidates=430978))
         assert outcome.factor * outcome.factor == p
+
+    def test_candidate_budget_charged_degree_by_degree(self):
+        # the 31 linear forms over F_5 fit the budget and hold x + y + z;
+        # the 3,906 quadratic ones would not, but are never reached
+        outcome = brute_force_factor_search(build_f(F5, 3, 2), SearchBudget(max_candidates=100))
+        assert isinstance(outcome, FactorFound)
+        assert poly_to_text(outcome.factor, ["x", "y", "z"]) == "x + y + z"
+
+    def test_refusal_at_degree_one_starts_no_search(self, monkeypatch):
+        # the charge comes first: a refused input gets no filter lines
+        searches, search = [], oracle._Search
+        monkeypatch.setattr(oracle, "_Search", lambda *args: searches.append(args) or search(*args))
+        outcome = brute_force_factor_search(build_f(F5, 3, 2), SearchBudget(max_candidates=30))
+        assert outcome == BudgetExceeded("candidate space through degree 1 exceeds budget 30")
+        assert searches == []
 
     def test_time_limit(self):
         outcome = brute_force_factor_search(
@@ -115,7 +125,6 @@ class TestBruteForceSearch:
             {"max_degree": -1},
             {"time_limit": -1.0},
             {"time_limit": float("nan")},
-            {"max_field_size": 2},
         ],
     )
     def test_out_of_range_budget_rejected(self, kwargs):
@@ -248,7 +257,7 @@ class TestBruteForceSearch:
         # not: refused before that table is allocated
         p = parse_polynomial("x^4+y^4", prime_field(1999), 2, ["x", "y"])
         outcome = brute_force_factor_search(
-            p, SearchBudget(max_field_size=2000, homogeneous_only=True)
+            p, SearchBudget(homogeneous_only=True)
         )
         assert outcome == BudgetExceeded(
             f"accept table of {1999**3} bytes for degree 2 exceeds budget "
@@ -278,14 +287,43 @@ class TestBruteForceSearch:
         assert outcome == FactorFound(g, f)
 
     def test_table_budget_checked_before_filter_lines(self, small_arrays):
-        # the filter lines' power table has q rows: over F_1000003 it alone
-        # would exceed the array guard, so the refusal has to come first
+        # over F_1000003 the degree-1 table alone exceeds the budget, and the
+        # refusal comes before any filter line is restricted
         q = 1000003
         p = parse_polynomial("x^2+y^2", prime_field(q), 2, ["x", "y"])
-        outcome = brute_force_factor_search(p, SearchBudget(max_field_size=q))
+        outcome = brute_force_factor_search(p)
         assert outcome == BudgetExceeded(
             f"accept table of {q**2} bytes for degree 1 exceeds budget 8388608"
         )
+
+    def test_filter_lines_hold_no_table_of_q_rows(self, small_arrays):
+        # every residue's powers up to the input degree would be 2003 * 20001
+        # entries, 320 MB; the restrictions alone are 8 * 20001
+        q = 2003
+        p = parse_polynomial("x^20000+y^20000", prime_field(q), 2, ["x", "y"])
+        lines = oracle._filter_lines(p, q, 20000)
+        assert len(lines) == oracle._LINES
+        for vy, (c,), restricted in lines:
+            assert restricted[0] == pow(c, 20000, q) and restricted[20000] == 1
+            assert not restricted[1:20000].any()
+
+    def test_filter_lines_hold_no_map_of_every_term(self):
+        # a (deg+1) x terms map per line would be 8 * 81 * 3321 entries, 17 MB
+        names = ["x", "y"]
+        text = "+".join(f"x^{i}*y^{j}" for i in range(81) for j in range(81 - i))
+        p = parse_polynomial(text, F3, 2, names)
+        tracemalloc.start()
+        try:
+            lines = oracle._filter_lines(p, 3, 80)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lines and peak < 4 * 2**20
+        for vy, (c,), restricted in lines:
+            expected = [0] * 81
+            for e in p.terms:
+                expected[e[vy]] += c ** e[1 - vy]
+            assert restricted.tolist() == [v % 3 for v in expected]
 
 
 def _reference_search(p: Polynomial, degree: Optional[int] = None):
