@@ -326,6 +326,64 @@ class TestBruteForceSearch:
             assert restricted.tolist() == [v % 3 for v in expected]
 
 
+class TestFactorDegreeSieve:
+    """The sieve skips only degrees with no divisor, so it changes no outcome."""
+
+    @pytest.mark.parametrize("q", [5, 7, 11, 13])
+    def test_same_outcomes_with_every_degree_open(self, monkeypatch, q):
+        inputs = [build_g(GParams.of(prime_field(q), 3, a, t)) for a in (0, 1, 2) for t in range(q)]
+        sieved = [brute_force_factor_search(p) for p in inputs]
+        monkeypatch.setattr(oracle, "_open_degrees", lambda p, cap, deadline: set(range(1, cap + 1)))
+        assert [brute_force_factor_search(p) for p in inputs] == sieved
+
+    def test_irreducible_input_is_decided_without_a_search(self, monkeypatch):
+        # every degree is closed: the 47,079,608 forms of degree 1 and 2 are
+        # charged, none is enumerated (the search alone took 0.18 s)
+        divisions, searches, search = [], [], oracle._Search
+        exact_divide = Polynomial.exact_divide
+
+        def counting_divide(self, d):
+            divisions.append(d)
+            return exact_divide(self, d)
+
+        monkeypatch.setattr(Polynomial, "exact_divide", counting_divide)
+        monkeypatch.setattr(oracle, "_Search", lambda *args: searches.append(args) or search(*args))
+        outcome = brute_force_factor_search(build_g(GParams.of(F7, 4, 0, 3)))
+        assert outcome == NoFactorFound(47079608)
+        assert divisions == [] and searches == []
+
+    def test_closed_degree_is_charged_to_the_table_budget(self, monkeypatch):
+        # x^4 + x*y^3 + y^4 is irreducible over F_211, so the sieve closes
+        # degrees 1 and 2; the degree-2 table of 211^3 bytes is refused all the same
+        q = 211
+        p = parse_polynomial("x^4+x*y^3+y^4", prime_field(q), 2, ["x", "y"])
+        assert oracle._open_degrees(p, 2, inf) == set()
+        refused = BudgetExceeded(
+            f"accept table of {q**3} bytes for degree 2 exceeds budget {oracle._MAX_TABLE_BYTES}"
+        )
+        assert brute_force_factor_search(p) == refused
+        monkeypatch.setattr(oracle, "_open_degrees", lambda p, cap, deadline: set(range(1, cap + 1)))
+        assert brute_force_factor_search(p) == refused
+
+    def test_restriction_matches_evaluation(self):
+        rng = Random(23)
+        for q in (5, 13):
+            field = prime_field(q)
+            for _ in range(20):
+                p = random_polynomial(field, 3, rng, nonzero=True)
+                terms = [
+                    ([(i, e) for i, e in enumerate(exps) if e], c)
+                    for exps, c in p.terms_descending()
+                ]
+                bits = (len(terms) * (q - 1) * (2 * q - 2) ** p.degree()).bit_length()
+                point, direction = [rng.randrange(q) for _ in "xyz"], [rng.randrange(q) for _ in "xyz"]
+                restricted = oracle._restrict(terms, point, direction, q, bits)
+                assert len(restricted) <= p.degree() + 1
+                for s in range(q):
+                    line = [field.from_int(c + s * v) for c, v in zip(point, direction)]
+                    assert sum(c * s**k for k, c in enumerate(restricted)) % q == evaluate(p, line).value
+
+
 def _reference_search(p: Polynomial, degree: Optional[int] = None):
     """The search without the line filter: every monic candidate, in order.
 
