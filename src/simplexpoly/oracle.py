@@ -28,22 +28,25 @@ filter only ever rejects non-divisors, so the reported factor is always the
 first divisor in enumeration order.
 
 Before any of that, a factor-degree sieve restricts the input to up to eight
-seeded lines of F_q^n on which it keeps its degree, and factors each
-squarefree restriction by distinct-degree factorization (``_univariate``).
-A degree that is no sum of some line's factor degrees has no divisor, so it
-is charged to the candidate and table budgets, and counted in
+seeded lines on which it keeps its degree, and factors each squarefree
+restriction by distinct-degree factorization (``_univariate``). A degree
+that is no sum of some line's factor degrees has no divisor, so it is
+charged to the candidate and table budgets, and counted in
 ``candidates_tried``, as though searched, but none of its candidates is
-enumerated; with no degree left open no search is built. The sieve runs for
-q >= 5 and inputs of degree at most 12; an inhomogeneous input's leading form
-is sieved the same way before its runs are collected.
+enumerated; with no degree left open no search is built. The lines lie in
+F_q^n, and for q = 3 in F_27^n: an F_3-line is too coarse, and over F_{3^k}
+with k odd an irreducible quartic stays irreducible. The sieve runs on
+inputs of degree at most 12; an inhomogeneous input's leading form is
+sieved the same way before its runs are collected.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations_with_replacement, islice
-from math import comb, gcd, inf, prod
+from math import comb, gcd, inf
 from random import Random
 from typing import Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -57,10 +60,11 @@ _CHUNK = 1 << 18  # most indices one filter step holds
 _LINES = 8  # filter lines on which the input does not vanish
 _MAX_TABLE_BYTES = 1 << 23  # the accept tables of one candidate degree, together
 _SIEVE_LINES = 8  # most lines the factor-degree sieve restricts the input to
-# highest input degree the sieve runs on: on dense bivariate inputs up to
-# degree 12 its eight lines cost at most about three times the degree-1
-# search (0.2-3.6 ms over F_5..F_101), past it the candidate budget refuses
-# most inputs the sieve could decide
+# highest input degree the sieve runs on: on dense bivariate inputs with a
+# linear factor (all eight lines, nothing closed) its lines cost 0.2-3.6 ms
+# up to degree 12 over F_5..F_101, and over F_3, on F_27-lines, 0.2-0.3 ms
+# at degree 4, 1.2-1.4 ms at 8 and 7.5-8.8 ms at 12; past 12 the candidate
+# budget refuses most inputs the sieve could decide
 _SIEVE_MAX_DEGREE = 12
 
 
@@ -267,19 +271,48 @@ def _restrict(
 ) -> List[int]:
     """The dense coefficients of p(point + s direction) in s, by Kronecker substitution.
 
-    terms holds p's ([(variable, exponent), ...], payload) pairs. Every
-    residue is taken in [0, q), so p evaluated over the integers at s =
-    2^bits has nonnegative coefficients in s, each below 2^bits when bits
-    covers their sum at s = 1: the base-2^bits digits of the value are
-    those coefficients, reduced mod q at the end.
+    terms holds p's ([(variable, exponent), ...], payload) pairs, payloads
+    in F_p, and the line lies in F_q^n, q = p^k. An element of F_q is a
+    polynomial in z with its base-p digits as coefficients (``_univariate``),
+    so p evaluated over the integers at z = 2^bits and s = 2^(bits w), w a
+    multiple of k past the z-degree deg (k - 1) of each coefficient in s, has
+    nonnegative coefficients in z and s, each below 2^bits when bits covers
+    their sum at z = s = 1: the base-2^bits digits of the value are those
+    coefficients, reduced mod p at the end and then mod the field's modulus.
+    Over F_p, z is absent and w = 1.
     """
-    values = [c + (v << bits) for c, v in zip(point, direction)]
-    total = sum(c * prod(values[i] ** e for i, e in powers) for powers, c in terms)
+    field = _univariate.field(q)
+    width = 1
+    if field.k > 1:
+        deg = max(sum(e for _, e in powers) for powers, _ in terms)
+        width = field.k * -(-(deg * (field.k - 1) + 1) // field.k)
+        point, direction = (
+            [sum(d << bits * j for j, d in enumerate(field.digits[c])) for c in coords]
+            for coords in (point, direction)
+        )
+    # each variable's powers on the line, computed as far as a term needs them
+    powers_of = [[1, c + (v << bits * width)] for c, v in zip(point, direction)]
+    total = 0
+    for powers, c in terms:
+        for i, e in powers:
+            row = powers_of[i]
+            while len(row) <= e:
+                row.append(row[-1] * row[1])
+            c *= row[e]
+        total += c
     mask, out = (1 << bits) - 1, []
     while total:
-        out.append((total & mask) % q)
+        out.append((total & mask) % field.p)
         total >>= bits
-    return _univariate.trim(out)
+    return _univariate.trim(out if field.k == 1 else field.from_z(out, width))
+
+
+@lru_cache(maxsize=64)
+def _sieve_lines(q: int, arity: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
+    """The sieve's seeded lines (point, direction) of F_q^arity, in the order drawn."""
+    rng = Random(0)
+    coords = [tuple(rng.randrange(q) for _ in range(2 * arity)) for _ in range(_SIEVE_LINES)]
+    return tuple((c[:arity], c[arity:]) for c in coords)
 
 
 def _open_degrees(p: Polynomial, cap: int, deadline: float) -> Set[int]:
@@ -291,28 +324,34 @@ def _open_degrees(p: Polynomial, cap: int, deadline: float) -> Set[int]:
     point + s direction, skips each restriction that drops p's degree or is
     not squarefree, and closes each d that is no such sum on some line
     (degree-set intersection: D. R. Musser, J. ACM 22, 1975). It stops once
-    every degree is closed. An F_3-line is too coarse to close anything,
-    and a restriction of high degree costs more to factor than the search
-    it could spare, so q >= 5 and deg p <= _SIEVE_MAX_DEGREE, or every
-    degree stays open.
+    every degree is closed. A restriction of high degree costs more to
+    factor than the search it could spare, so deg p <= _SIEVE_MAX_DEGREE, or
+    every degree stays open.
+
+    Over F_3 the lines lie in F_27^n: an F_3-line is too coarse to close
+    anything, and F_9-lines fail whenever p splits over F_9. An irreducible
+    P over F_3 of degree D splits over F_{3^k} into gcd(k, r) conjugate
+    factors, r | D the number of its absolutely irreducible factors, so
+    with k = 3, odd, an irreducible quartic stays irreducible.
     """
     opened = (1 << cap + 1) - 2  # bit d for each open degree d
-    q, deg = p.field.p, p.degree()
-    if q < 5 or deg > _SIEVE_MAX_DEGREE:
+    deg = p.degree()
+    if deg > _SIEVE_MAX_DEGREE:
         return set(range(1, cap + 1))
+    q = 27 if p.field.p == 3 else p.field.p  # the lines' field
+    field = _univariate.field(q)
     terms = [([(i, e) for i, e in enumerate(exps) if e], c) for exps, c in p.terms_descending()]
-    # each coefficient of the restriction over the integers is at most its value at s = 1
-    bits = (len(terms) * (q - 1) * (2 * q - 2) ** deg).bit_length()
-    rng = Random(0)
-    for _ in range(_SIEVE_LINES):
+    # each coefficient of the restriction over the integers is at most its value
+    # at s = 1 (and z = 1), where each coordinate is at most 2 k (p - 1)
+    bits = (len(terms) * (field.p - 1) * (2 * field.k * (field.p - 1)) ** deg).bit_length()
+    for point, direction in _sieve_lines(q, p.arity):
         if not opened:
             break
         _check_deadline(deadline)
-        coords = [rng.randrange(q) for _ in range(2 * p.arity)]
-        restricted = _restrict(terms, coords[: p.arity], coords[p.arity :], q, bits)
-        if len(restricted) == deg + 1 and _univariate.is_squarefree(restricted, q):
+        restricted = _restrict(terms, point, direction, q, bits)
+        if len(restricted) == deg + 1 and field.is_squarefree(restricted):
             sums = 1  # bit k: some of the factors' degrees add up to k
-            for e in _univariate.factor_degrees(restricted, q):
+            for e in field.factor_degrees(restricted):
                 sums |= sums << e
             opened &= sums
     return {d for d in range(1, cap + 1) if opened >> d & 1}

@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from simplexpoly import oracle
+from simplexpoly import _univariate, oracle
 from simplexpoly.field import CHAR2, RATIONAL, prime_field
 from simplexpoly.poly import Polynomial, parse_polynomial, poly_to_text
 from simplexpoly.family import GParams, build_f, build_g, prekite_reduction
@@ -234,7 +234,9 @@ class TestBruteForceSearch:
         # pinned on purpose: a change to the filter lines or the enumeration
         # moves these counts, and should say why (the 2-line filter made
         # 8,747 divisions on the m = 3 input; eight lines without
-        # leading-form runs made 151 there and 21,479 on the m = 4 input)
+        # leading-form runs made 151 there and 21,479 on the m = 4 input).
+        # The factor-degree sieve closes every degree of both inputs on
+        # F_27-lines, so the filter's counts are taken with every degree open
         divisions = []
         exact_divide = Polynomial.exact_divide
 
@@ -243,13 +245,15 @@ class TestBruteForceSearch:
             return exact_divide(self, d)
 
         monkeypatch.setattr(Polynomial, "exact_divide", counting_divide)
-        outcome = brute_force_factor_search(build_g(GParams.of(F3, 3, 1, 1)))
-        assert outcome == NoFactorFound(29523)
-        assert len(divisions) == 6
-        divisions.clear()
-        outcome = brute_force_factor_search(build_g(GParams.of(F3, 4, 1, 2)))
-        assert outcome == NoFactorFound(7174452)
-        assert len(divisions) == 33
+        inputs = [build_g(GParams.of(F3, 3, 1, 1)), build_g(GParams.of(F3, 4, 1, 2))]
+        outcomes = [NoFactorFound(29523), NoFactorFound(7174452)]
+        assert [brute_force_factor_search(p) for p in inputs] == outcomes
+        assert divisions == []
+        monkeypatch.setattr(oracle, "_open_degrees", lambda p, cap, deadline: set(range(1, cap + 1)))
+        for p, outcome, count in zip(inputs, outcomes, (6, 33)):
+            divisions.clear()
+            assert brute_force_factor_search(p) == outcome
+            assert len(divisions) == count
 
     def test_accept_tables_are_budgeted(self, small_arrays):
         # the candidate space (about 4 M) fits, and x^4 + y^4 has no linear
@@ -329,9 +333,15 @@ class TestBruteForceSearch:
 class TestFactorDegreeSieve:
     """The sieve skips only degrees with no divisor, so it changes no outcome."""
 
-    @pytest.mark.parametrize("q", [5, 7, 11, 13])
+    @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
     def test_same_outcomes_with_every_degree_open(self, monkeypatch, q):
         inputs = [build_g(GParams.of(prime_field(q), 3, a, t)) for a in (0, 1, 2) for t in range(q)]
+        sieved = [brute_force_factor_search(p) for p in inputs]
+        monkeypatch.setattr(oracle, "_open_degrees", lambda p, cap, deadline: set(range(1, cap + 1)))
+        assert [brute_force_factor_search(p) for p in inputs] == sieved
+
+    def test_same_outcomes_with_every_degree_open_over_f3_at_m4(self, monkeypatch):
+        inputs = [build_g(GParams.of(F3, 4, a, t)) for a in (0, 1) for t in range(3)]
         sieved = [brute_force_factor_search(p) for p in inputs]
         monkeypatch.setattr(oracle, "_open_degrees", lambda p, cap, deadline: set(range(1, cap + 1)))
         assert [brute_force_factor_search(p) for p in inputs] == sieved
@@ -351,6 +361,24 @@ class TestFactorDegreeSieve:
         outcome = brute_force_factor_search(build_g(GParams.of(F7, 4, 0, 3)))
         assert outcome == NoFactorFound(47079608)
         assert divisions == [] and searches == []
+
+    @pytest.mark.parametrize("a, candidates, searched", [(0, 7174574, 0), (1, 5230176600, 1)])
+    def test_f3_m5_is_decided_without_a_division(self, monkeypatch, a, candidates, searched):
+        # F_27-lines close every degree of g for a = 0, and of its leading form
+        # for a = 1, whose own lines all have a linear factor: that one search
+        # of g is built, but every run is closed (each a took about 1 s)
+        divisions, searches, search = [], [], oracle._Search
+        exact_divide = Polynomial.exact_divide
+
+        def counting_divide(self, d):
+            divisions.append(d)
+            return exact_divide(self, d)
+
+        monkeypatch.setattr(Polynomial, "exact_divide", counting_divide)
+        monkeypatch.setattr(oracle, "_Search", lambda *args: searches.append(args) or search(*args))
+        outcome = brute_force_factor_search(build_g(GParams.of(F3, 5, a, 2)))
+        assert outcome == NoFactorFound(candidates)
+        assert divisions == [] and len(searches) == searched
 
     def test_closed_degree_is_charged_to_the_table_budget(self, monkeypatch):
         # x^4 + x*y^3 + y^4 is irreducible over F_211, so the sieve closes
@@ -382,6 +410,35 @@ class TestFactorDegreeSieve:
                 for s in range(q):
                     line = [field.from_int(c + s * v) for c, v in zip(point, direction)]
                     assert sum(c * s**k for k, c in enumerate(restricted)) % q == evaluate(p, line).value
+
+
+    def test_restriction_over_f27_matches_evaluation(self):
+        # F_3 inputs restricted to lines of F_27^3, each point of the line
+        # evaluated on the field's tables
+        F27, rng = _univariate.field(27), Random(27)
+        add, mul = F27.add_table, F27.mul_table
+        for _ in range(20):
+            p = random_polynomial(F3, 3, rng, nonzero=True)
+            terms = [
+                ([(i, e) for i, e in enumerate(exps) if e], c) for exps, c in p.terms_descending()
+            ]
+            bits = (len(terms) * 2 * 12 ** p.degree()).bit_length()
+            point, direction = [rng.randrange(27) for _ in "xyz"], [rng.randrange(27) for _ in "xyz"]
+            restricted = oracle._restrict(terms, point, direction, 27, bits)
+            assert len(restricted) <= p.degree() + 1
+            for s in range(27):
+                line = [add[c][mul[s][v]] for c, v in zip(point, direction)]
+                value = 0
+                for exps, c in p.terms.items():
+                    term = c.value
+                    for x, e in zip(line, exps):
+                        for _ in range(e):
+                            term = mul[term][x]
+                    value = add[value][term]
+                at_s = 0
+                for c in reversed(restricted):
+                    at_s = add[mul[at_s][s]][c]
+                assert at_s == value
 
 
 def _reference_search(p: Polynomial, degree: Optional[int] = None):
