@@ -4,8 +4,8 @@ A polynomial is a list of field elements, the coefficient of y^i at index
 i, with no trailing zeros; the zero polynomial is []. An element of F_q is
 an int in [0, q): over a prime field the residue itself, over F_{p^k} the
 polynomial in z of degree below k whose coefficients are its base-p digits,
-modulo the first monic irreducible of degree k (``field``). The functions
-take the field order q last and return new lists. ``factor_degrees`` is
+modulo the first monic irreducible of degree k. ``field(q)`` holds the
+arithmetic of F_q, and its methods return new lists. ``factor_degrees`` is
 distinct-degree factorization (von zur Gathen & Gerhard, *Modern Computer
 Algebra*, ch. 14): the degrees of the irreducible factors, without the
 factors.
@@ -281,31 +281,3 @@ def trim(a: Poly) -> Poly:
         a.pop()
     return a
 
-
-def mul(a: Poly, b: Poly, q: int) -> Poly:
-    return field(q).mul(a, b)
-
-
-def divide(a: Poly, b: Poly, q: int) -> Tuple[Poly, Poly]:
-    """(quotient, remainder) of a by a nonzero b."""
-    return field(q).divide(a, b)
-
-
-def monic(a: Poly, q: int) -> Poly:
-    return field(q).monic(a)
-
-
-def gcd(a: Poly, b: Poly, q: int) -> Poly:
-    return field(q).gcd(a, b)
-
-
-def pow_mod(a: Poly, e: int, f: Poly, q: int) -> Poly:
-    return field(q).pow_mod(a, e, f)
-
-
-def is_squarefree(f: Poly, q: int) -> bool:
-    return field(q).is_squarefree(f)
-
-
-def factor_degrees(f: Poly, q: int) -> List[int]:
-    return field(q).factor_degrees(f)

@@ -33,11 +33,12 @@ restriction by distinct-degree factorization (``_univariate``). A degree
 that is no sum of some line's factor degrees has no divisor, so it is
 charged to the candidate and table budgets, and counted in
 ``candidates_tried``, as though searched, but none of its candidates is
-enumerated; with no degree left open no search is built. The lines lie in
-F_q^n, and for q = 3 in F_27^n: an F_3-line is too coarse, and over F_{3^k}
-with k odd an irreducible quartic stays irreducible. The sieve runs on
-inputs of degree at most 12; an inhomogeneous input's leading form is
-sieved the same way before its runs are collected.
+enumerated; with no degree left open no filter line is built. The lines lie
+in F_q^n, and for q = 3 in F_27^n: an F_3-line is too coarse, and over
+F_{3^k} with k odd an irreducible quartic stays irreducible. The sieve runs
+on inputs of degree at most 12. An inhomogeneous input's leading form is
+sieved first, and the input's own sieve and search stop at the last degree
+the leading form leaves open: past it no run can hold a divisor.
 """
 
 from __future__ import annotations
@@ -88,9 +89,9 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if self.max_degree is not None and self.max_degree < 1:
             raise ValueError(f"max_degree must be at least 1, got {self.max_degree}")
-        # NaN fails this test too: a NaN deadline would never pass
-        if self.time_limit is not None and not self.time_limit >= 0:
-            raise ValueError(f"time_limit must be nonnegative, got {self.time_limit}")
+        # NaN fails too, as its deadline would never pass; so does inf, which is not JSON
+        if self.time_limit is not None and not 0 <= self.time_limit < inf:
+            raise ValueError(f"time_limit must be finite and nonnegative, got {self.time_limit}")
 
 
 @dataclass(frozen=True)
@@ -383,16 +384,23 @@ def _check_table(q: int, d: int) -> int:
 
 
 class _Search:
-    """The filtered trial division of one input, one candidate degree at a time.
+    """The sieved, filtered trial division of one input, one candidate degree at a time.
 
-    Degree d's accept tables extend those of degree d-1, so degrees must be
-    searched in ascending order, each once.
+    The factor-degree sieve runs first, on degrees 1..cap; with no degree
+    open no filter line is built. A closed degree is charged to the table
+    budget as though searched, and below the last open degree its tables
+    are still built: degree d's accept tables extend those of degree d-1,
+    so degrees must be searched in ascending order, each once.
     """
 
-    def __init__(self, p: Polynomial, deadline: float) -> None:
+    def __init__(self, p: Polynomial, cap: int, deadline: float) -> None:
         self.p, self.q, self.deadline = p, p.field.p, deadline
-        # before the filter lines: it bounds q, and so their int64 products
+        # first: it bounds q, for the sieve's field and the filter lines' int64 products
         _check_table(self.q, 1)
+        self.open = _open_degrees(p, cap, deadline)
+        self.last = max(self.open, default=0)
+        if not self.open:
+            return
         self.homogeneous, _ = p.is_homogeneous()
         deg = p.degree()
         self.lines = _filter_lines(p, self.q, deg)
@@ -413,10 +421,15 @@ class _Search:
         d have t >= k, k the number of lower monomials, and ascending index
         is the enumeration order. Runs, a sorted list of indices over the
         degree-d monomials, limit the search to the candidates [r q^k,
-        (r+1) q^k) whose degree-d form has index r, for each run r.
+        (r+1) q^k) whose degree-d form has index r, for each run r. A degree
+        the sieve closed is searched with no run.
         """
         p, q = self.p, self.q
         size = _check_table(q, d)
+        if d > self.last:
+            return
+        if d not in self.open:
+            runs = []
         # as many lines as the budget holds; with none, one that passes everything
         used = self.lines[: _MAX_TABLE_BYTES // size]
         tables = _accept_tables(self.restricted[: len(used)], self.tables, d, q, self.deadline)
@@ -474,28 +487,6 @@ class _Search:
                     yield int(places @ coeffs), FactorFound(cand, quotient)
 
 
-class _SievedSearch:
-    """A _Search of p that enumerates only the degrees the sieve leaves open.
-
-    A closed degree yields no divisor, but is charged to the table budget
-    as though searched. Below the last open degree its accept tables are
-    still built, since later degrees extend them; with no degree open, no
-    _Search of p is built.
-    """
-
-    def __init__(self, p: Polynomial, cap: int, deadline: float) -> None:
-        self.q, self.open = p.field.p, _open_degrees(p, cap, deadline)
-        self.search = _Search(p, deadline) if self.open else None
-
-    def divisors(
-        self, d: int, runs: Optional[List[int]] = None
-    ) -> Iterator[Tuple[int, FactorFound]]:
-        if d > max(self.open, default=0):
-            _check_table(self.q, d)
-            return iter(())
-        return self.search.divisors(d, runs if d in self.open else [])
-
-
 def brute_force_factor_search(
     p: Polynomial, budget: SearchBudget = SearchBudget()
 ) -> SearchOutcome:
@@ -528,15 +519,15 @@ def brute_force_factor_search(
             work += (q ** comb(p.arity + d - 1, d) - 1) // (q - 1)
             _check_candidates(work, d, budget)
             if d == 1:
-                _check_table(q, 1)  # before the sieve, as before any filter line
-                search = _SievedSearch(p, degree_cap, deadline)
                 # leading forms multiply, so a divisor's degree-d form divides p's
-                # leading form: an inhomogeneous p needs only the runs of those forms
+                # leading form: an inhomogeneous p needs only the runs of those
+                # forms, and no degree past the last one its sieve leaves open
                 leading = (
                     None
                     if homogeneous
-                    else _SievedSearch(p.leading_homogeneous_component(), degree_cap, deadline)
+                    else _Search(p.leading_homogeneous_component(), degree_cap, deadline)
                 )
+                search = _Search(p, degree_cap if leading is None else leading.last, deadline)
             runs = None if leading is None else [index for index, _ in leading.divisors(d)]
             if runs is not None:
                 work += len(runs) * q ** comb(p.arity + d - 1, p.arity)

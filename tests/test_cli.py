@@ -261,6 +261,7 @@ class TestOracleCommand:
             ["--max-degree", "-1"],
             ["--time-limit", "-1"],
             ["--time-limit", "nan"],
+            ["--time-limit", "inf"],
         ],
     )
     def test_out_of_range_budget_is_usage_error(self, capsys, option):

@@ -125,6 +125,7 @@ class TestBruteForceSearch:
             {"max_degree": -1},
             {"time_limit": -1.0},
             {"time_limit": float("nan")},
+            {"time_limit": float("inf")},
         ],
     )
     def test_out_of_range_budget_rejected(self, kwargs):
@@ -177,8 +178,10 @@ class TestBruteForceSearch:
         monkeypatch.setattr(
             oracle, "time", SimpleNamespace(monotonic=lambda: 100.0 if started else 0.0)
         )
+        # t = 2: the leading form is the Heron product, whose degree 1 the
+        # sieve leaves open, so tables are built; for t = 1 none is
         outcome = brute_force_factor_search(
-            build_g(GParams.of(F5, 3, 1, 1)), SearchBudget(time_limit=1.0)
+            build_g(GParams.of(F5, 3, 1, 2)), SearchBudget(time_limit=1.0)
         )
         assert outcome == BudgetExceeded("time limit exceeded")
         assert len(started) == 1 and built == ["raised"]
@@ -333,9 +336,15 @@ class TestBruteForceSearch:
 class TestFactorDegreeSieve:
     """The sieve skips only degrees with no divisor, so it changes no outcome."""
 
-    @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
-    def test_same_outcomes_with_every_degree_open(self, monkeypatch, q):
-        inputs = [build_g(GParams.of(prime_field(q), 3, a, t)) for a in (0, 1, 2) for t in range(q)]
+    @pytest.mark.parametrize(
+        "q, m, offsets",
+        [pytest.param(q, 3, (0, 1, 2), id=str(q)) for q in (3, 5, 7, 11, 13)]
+        # inhomogeneous inputs past m = 3, whose own sieve stops at the last
+        # degree their leading form leaves open
+        + [pytest.param(5, 4, (1, 2), id="5-m4")],
+    )
+    def test_same_outcomes_with_every_degree_open(self, monkeypatch, q, m, offsets):
+        inputs = [build_g(GParams.of(prime_field(q), m, a, t)) for a in offsets for t in range(q)]
         sieved = [brute_force_factor_search(p) for p in inputs]
         monkeypatch.setattr(oracle, "_open_degrees", lambda p, cap, deadline: set(range(1, cap + 1)))
         assert [brute_force_factor_search(p) for p in inputs] == sieved
@@ -346,39 +355,45 @@ class TestFactorDegreeSieve:
         monkeypatch.setattr(oracle, "_open_degrees", lambda p, cap, deadline: set(range(1, cap + 1)))
         assert [brute_force_factor_search(p) for p in inputs] == sieved
 
+    @staticmethod
+    def _record(monkeypatch):
+        """The name of each filter-line build, accept-table build and division, in order."""
+        made = []
+        for owner, name in (
+            (oracle, "_filter_lines"), (oracle, "_accept_tables"), (Polynomial, "exact_divide")
+        ):
+            def recording(*args, call=getattr(owner, name), name=name):
+                made.append(name)
+                return call(*args)
+
+            monkeypatch.setattr(owner, name, recording)
+        return made
+
     def test_irreducible_input_is_decided_without_a_search(self, monkeypatch):
         # every degree is closed: the 47,079,608 forms of degree 1 and 2 are
         # charged, none is enumerated (the search alone took 0.18 s)
-        divisions, searches, search = [], [], oracle._Search
-        exact_divide = Polynomial.exact_divide
-
-        def counting_divide(self, d):
-            divisions.append(d)
-            return exact_divide(self, d)
-
-        monkeypatch.setattr(Polynomial, "exact_divide", counting_divide)
-        monkeypatch.setattr(oracle, "_Search", lambda *args: searches.append(args) or search(*args))
+        made = self._record(monkeypatch)
         outcome = brute_force_factor_search(build_g(GParams.of(F7, 4, 0, 3)))
         assert outcome == NoFactorFound(47079608)
-        assert divisions == [] and searches == []
+        assert made == []
 
-    @pytest.mark.parametrize("a, candidates, searched", [(0, 7174574, 0), (1, 5230176600, 1)])
-    def test_f3_m5_is_decided_without_a_division(self, monkeypatch, a, candidates, searched):
+    @pytest.mark.parametrize("a, candidates", [(0, 7174574), (1, 5230176600)])
+    def test_f3_m5_is_decided_without_a_division(self, monkeypatch, a, candidates):
         # F_27-lines close every degree of g for a = 0, and of its leading form
-        # for a = 1, whose own lines all have a linear factor: that one search
-        # of g is built, but every run is closed (each a took about 1 s)
-        divisions, searches, search = [], [], oracle._Search
-        exact_divide = Polynomial.exact_divide
-
-        def counting_divide(self, d):
-            divisions.append(d)
-            return exact_divide(self, d)
-
-        monkeypatch.setattr(Polynomial, "exact_divide", counting_divide)
-        monkeypatch.setattr(oracle, "_Search", lambda *args: searches.append(args) or search(*args))
+        # for a = 1, past which g's own search has no degree, though g's lines
+        # leave degree 1 open (each a took about 1 s)
+        made = self._record(monkeypatch)
         outcome = brute_force_factor_search(build_g(GParams.of(F3, 5, a, 2)))
         assert outcome == NoFactorFound(candidates)
-        assert divisions == [] and len(searches) == searched
+        assert made == []
+
+    def test_closed_leading_form_leaves_no_degree_to_search(self, monkeypatch):
+        # the sieve closes both degrees of the leading form, so no run can hold
+        # a divisor, while g's own lines leave degree 1 open
+        made = self._record(monkeypatch)
+        outcome = brute_force_factor_search(build_g(GParams.of(F5, 3, 1, 1)))
+        assert outcome == NoFactorFound(2441405)
+        assert made == []
 
     def test_closed_degree_is_charged_to_the_table_budget(self, monkeypatch):
         # x^4 + x*y^3 + y^4 is irreducible over F_211, so the sieve closes
@@ -574,7 +589,7 @@ class TestDivisorSequence:
     @staticmethod
     def _sequences(p, leading=None):
         """{d: [(index, factor)]} from one _Search, degrees ascending."""
-        search, sequences = oracle._Search(p, inf), {}
+        search, sequences = oracle._Search(p, p.degree() // 2, inf), {}
         for d in range(1, p.degree() // 2 + 1):
             runs = None if leading is None else [i for i, _ in leading.divisors(d)]
             sequences[d] = []
@@ -611,8 +626,8 @@ class TestDivisorSequence:
         # each a run of 5^3 candidates (split in chunks of 5^2 under the patch)
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         p = self._product(F5, ["x^2+2*y+1", "x*y+x+3", "y+1"], ["x", "y"])
-        leading = oracle._Search(p.leading_homogeneous_component(), inf)
-        forms = oracle._Search(leading.p, inf)
+        leading = oracle._Search(p.leading_homogeneous_component(), 2, inf)
+        forms = oracle._Search(leading.p, 2, inf)
         assert [len(list(forms.divisors(d))) for d in (1, 2)] == [2, 3]
         got = self._check(p, leading)
         assert [len(s) for s in got.values()] == [1, 2]

@@ -1,4 +1,4 @@
-"""The dense F_p core and the factor-degree sieve built on it."""
+"""The dense F_q core and the factor-degree sieve built on it."""
 
 from math import inf
 from random import Random
@@ -21,22 +21,22 @@ def _random_poly(rng, p, degree):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_arithmetic_identities(p):
-    rng = Random(p)
+    rng, F = Random(p), U.field(p)
     for _ in range(50):
         a, b = _random_poly(rng, p, rng.randrange(8)), _random_poly(rng, p, rng.randrange(1, 6))
-        quot, rem = U.divide(a, b, p)
+        quot, rem = F.divide(a, b)
         assert len(rem) < len(b)
-        total = U.mul(quot, b, p) + [0] * len(a)
+        total = F.mul(quot, b) + [0] * len(a)
         for i, c in enumerate(rem):
             total[i] += c
         assert U.trim([c % p for c in total]) == a
-        g = U.gcd(U.mul(a, b, p), b, p)
-        assert g == U.monic(b, p)
+        g = F.gcd(F.mul(a, b), b)
+        assert g == F.monic(b)
         e, f = rng.randrange(40), _random_poly(rng, p, rng.randrange(1, 5))
         power = [1]
         for _ in range(e):
-            power = U.divide(U.mul(power, a, p), f, p)[1]
-        assert U.pow_mod(a, e, f, p) == U.divide(power, f, p)[1]
+            power = F.divide(F.mul(power, a), f)[1]
+        assert F.pow_mod(a, e, f) == F.divide(power, f)[1]
 
 
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # raised inside sympy
@@ -44,15 +44,15 @@ def test_arithmetic_identities(p):
 def test_factor_degrees_match_sympy(p):
     sympy = pytest.importorskip("sympy")
     y = sympy.symbols("y")
-    rng, checked = Random(100 + p), 0
+    rng, checked, F = Random(100 + p), 0, U.field(p)
     while checked < 40:
         f = _random_poly(rng, p, rng.randrange(1, 13))
         poly = sympy.Poly(list(reversed(f)), y, modulus=p)
-        if not U.is_squarefree(f, p):
+        if not F.is_squarefree(f):
             assert sympy.gcd(poly, poly.diff(y)).degree() > 0
             continue
         _, factors = sympy.factor_list(poly)
-        assert U.factor_degrees(f, p) == sorted(g.degree() for g, _ in factors)
+        assert F.factor_degrees(f) == sorted(g.degree() for g, _ in factors)
         assert all(e == 1 for _, e in factors)
         checked += 1
 
@@ -131,11 +131,11 @@ def test_factor_degrees_over_f27_match_the_factors_multiplied():
             degree += d
         product = [rng.randrange(1, 27)]
         for f in factors:
-            product = U.mul(product, f, 27)
+            product = F27.mul(product, f)
         assert len(product) == degree + 1
-        assert U.is_squarefree(product, 27)
-        assert U.factor_degrees(product, 27) == sorted(len(f) - 1 for f in factors)
-        assert not U.is_squarefree(U.mul(product, factors[0], 27), 27)
+        assert F27.is_squarefree(product)
+        assert F27.factor_degrees(product) == sorted(len(f) - 1 for f in factors)
+        assert not F27.is_squarefree(F27.mul(product, factors[0]))
         checked += 1
 
 
@@ -144,23 +144,23 @@ def test_f27_arithmetic_identities():
     for _ in range(50):
         a = [rng.randrange(27) for _ in range(rng.randrange(8))] + [rng.randrange(1, 27)]
         b = [rng.randrange(27) for _ in range(rng.randrange(1, 6))] + [rng.randrange(1, 27)]
-        quot, rem = U.divide(a, b, 27)
+        quot, rem = F27.divide(a, b)
         assert len(rem) < len(b)
-        total = U.mul(quot, b, 27) + [0] * len(a)
+        total = F27.mul(quot, b) + [0] * len(a)
         for i, c in enumerate(rem):
             total[i] = F27.add_table[total[i]][c]
         assert U.trim(total) == a
-        assert U.gcd(U.mul(a, b, 27), b, 27) == U.monic(b, 27)
+        assert F27.gcd(F27.mul(a, b), b) == F27.monic(b)
         x = rng.randrange(27)
-        assert _f27_value(U.mul(a, b, 27), x) == F27.mul_table[_f27_value(a, x)][_f27_value(b, x)]
+        assert _f27_value(F27.mul(a, b), x) == F27.mul_table[_f27_value(a, x)][_f27_value(b, x)]
 
 
 def test_squarefree_test_sees_repeated_factors():
-    p = 7
-    f = U.mul([1, 1], [3, 0, 1], p)  # (y + 1)(y^2 + 3)
-    assert U.is_squarefree(f, p)
-    assert not U.is_squarefree(U.mul(f, [1, 1], p), p)
-    assert not U.is_squarefree([1] + [0] * 6 + [1], p)  # y^7 + 1 = (y + 1)^7
+    F = U.field(7)
+    f = F.mul([1, 1], [3, 0, 1])  # (y + 1)(y^2 + 3)
+    assert F.is_squarefree(f)
+    assert not F.is_squarefree(F.mul(f, [1, 1]))
+    assert not F.is_squarefree([1] + [0] * 6 + [1])  # y^7 + 1 = (y + 1)^7
 
 
 @pytest.mark.parametrize("q", (3,) + PRIMES)
