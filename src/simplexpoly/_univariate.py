@@ -8,19 +8,20 @@ modulo the first monic irreducible of degree k. ``field(q)`` holds the
 arithmetic of F_q, and its methods return new lists. ``factor_degrees`` is
 distinct-degree factorization (von zur Gathen & Gerhard, *Modern Computer
 Algebra*, ch. 14): the degrees of the irreducible factors, without the
-factors.
+factors. ``restrictions`` restricts a polynomial over F_p to lines of F_q^n.
 
-gcd, powers modulo f, the squarefree test and ``factor_degrees`` are written
-once, in ``_Field``, on each field's own product and long division: residues
-reduced mod p over F_p, add and mul tables over F_{p^k}. A long division
-written once too, on one vector operation of the field per step, made the
-squarefree test and ``factor_degrees`` over F_5..F_13 1.6-1.8 times slower.
+gcd, powers modulo f, the squarefree test, ``factor_degrees`` and
+``restrictions`` are written once, in ``_Field``, on each field's own
+product and long division: residues reduced mod p over F_p, add and mul
+tables over F_{p^k}. A long division written once too, on one vector
+operation of the field per step, made the squarefree test and
+``factor_degrees`` over F_5..F_13 1.6-1.8 times slower.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +32,8 @@ class _Field:
     """The algorithms over a field, on the arithmetic its subclass supplies.
 
     A subclass has p, k and order = p^k, and supplies mul, divide, scale (by
-    an element), add (of two elements), inv and derivative.
+    an element), add (of two elements), inv and derivative; for k > 1 also
+    the add and mul tables, which ``restrictions`` reads.
     """
 
     p: int
@@ -90,6 +92,54 @@ class _Field:
             degrees.append(len(f) - 1)
         return degrees
 
+    def restrictions(
+        self, terms: Sequence, lines: Iterable[Tuple[Sequence[int], Sequence[int]]]
+    ) -> Iterator[Poly]:
+        """The coefficients in s of P(point + s direction), for each (point, direction).
+
+        terms holds P's ([(variable, exponent), ...], payload) pairs, payloads
+        in F_p, and each line lies in F_q^n. By Kronecker substitution, P over
+        the integers at z = 2^bits and s = 2^(bits w), w = deg (k - 1) + 1 past
+        the z-degree of each coefficient in s, has as base-2^bits digits its
+        coefficients in z and s, once bits covers their sum at z = s = 1; mod p,
+        the z-digits d_j of each coefficient in s give the element sum_j d_j z^j.
+        """
+        p, k = self.p, self.k
+        deg = max(sum(e for _, e in powers) for powers, _ in terms)
+        # each coefficient is at most its value at s = z = 1, where each
+        # coordinate is at most 2 k (p - 1)
+        bits = (len(terms) * (p - 1) * (2 * k * (p - 1)) ** deg).bit_length()
+        width, mask = deg * (k - 1) + 1, (1 << bits) - 1
+        if k > 1:
+            rows = [list(range(p))]  # row j holds d z^j for each digit d; z is the element p
+            while len(rows) < width:
+                rows.append([self.mul_table[e][p] for e in rows[-1]])
+        at_z = [0]  # each element's digit polynomial at z = 2^bits, digit by digit
+        for j in range(k):
+            at_z = [c + (d << bits * j) for d in range(p) for c in at_z]
+        for point, direction in lines:
+            # each variable's powers on the line, computed as far as a term needs them
+            powers_of = [[1, at_z[c] + (at_z[v] << bits * width)] for c, v in zip(point, direction)]
+            total = 0
+            for powers, c in terms:
+                for i, e in powers:
+                    row = powers_of[i]
+                    while len(row) <= e:
+                        row.append(row[-1] * row[1])
+                    c *= row[e]
+                total += c
+            digits = []
+            while total:
+                digits.append((total & mask) % p)
+                total >>= bits
+            if k > 1:
+                digits += [0] * (-len(digits) % width)
+                add, coeffs = self.add_table, [0] * (len(digits) // width)
+                for j, scaled in enumerate(rows):
+                    coeffs = [add[c][scaled[d]] for c, d in zip(coeffs, digits[j::width])]
+                digits = coeffs
+            yield trim(digits)
+
 
 class _PrimeField(_Field):
     """F_p: integer arithmetic, reduced mod p."""
@@ -142,31 +192,23 @@ class _PrimeField(_Field):
 class _ExtensionField(_Field):
     """F_{p^k}, k > 1: the add, neg, mul and inv tables of its elements.
 
-    mul comes from the logarithms of a generator's powers: about 0.2 ms for
-    F_27, against 1.8 ms for the product of every pair of digit polynomials
+    mul_table[a][b] is the product of the digit polynomials of a and b,
     reduced mod the modulus.
     """
 
     def __init__(self, p: int, k: int) -> None:
         self.p, self.k, self.order = p, k, p**k
-        self.modulus = _first_irreducible(field(p), k)
-        q, n = self.order, self.order - 1
-        exp = _generator_powers(field(p), self.modulus)
-        log = [0] * q
-        for i, e in enumerate(exp):
-            log[e] = i
-        self.mul_table = [[0] * q] + [
-            [0] + [exp[(log[a] + log[b]) % n] for b in range(1, q)] for a in range(1, q)
-        ]
-        self.inv_table = [0] + [exp[-log[a] % n] for a in range(1, q)]
-        # addition is digit by digit mod p
+        prime = field(p)
+        self.modulus = _first_irreducible(prime, k)
         places = p ** np.arange(k)
-        digits = np.arange(q)[:, None] // places % p
+        digits = np.arange(self.order)[:, None] // places % p
+        polys = [trim(d) for d in digits.tolist()]
+        products = ([prime.divide(prime.mul(a, b), self.modulus)[1] for b in polys] for a in polys)
+        self.mul_table = [[sum(c * p**i for i, c in enumerate(f)) for f in row] for row in products]
+        self.inv_table = [0] + [row.index(1) for row in self.mul_table[1:]]
+        self.neg_table = self.mul_table[p - 1]
+        # addition is digit by digit mod p
         self.add_table = ((digits[:, None, :] + digits[None, :, :]) % p @ places).tolist()
-        self.neg_table = (-digits % p @ places).tolist()
-        self.digits = digits.tolist()
-        # z^k is minus the modulus's tail
-        self.zk = sum(-c % p * p**i for i, c in enumerate(self.modulus[:k]))
 
     def inv(self, c: int) -> int:
         return self.inv_table[c]
@@ -194,23 +236,6 @@ class _ExtensionField(_Field):
                     out[j] = add[out[j]][row[y]]
         return out
 
-    def from_z(self, digits: Poly, width: int) -> Poly:
-        """The elements sum_j digits[i width + j] z^j, i = 0, 1, ...
-
-        digits are residues mod p and width a multiple of k: each run of k
-        digits from z^(k t) on, read base p, is an element e, and adds e z^(k t).
-        """
-        p, k, add, runs = self.p, self.k, self.add_table, width // self.k
-        digits = digits + [0] * (-len(digits) % width)
-        elements = digits[k - 1 :: k]
-        for j in range(k - 2, -1, -1):
-            elements = [e * p + d for e, d in zip(elements, digits[j::k])]
-        out, row = [0] * (len(digits) // width), self.mul_table[1]
-        for t in range(runs):
-            out = [add[c][row[e]] for c, e in zip(out, elements[t::runs])]
-            row = self.mul_table[row[self.zk]]  # z^(k t) times z^k
-        return out
-
     def divide(self, a: Poly, b: Poly) -> Tuple[Poly, Poly]:
         """(quotient, remainder) of a by a nonzero b."""
         add, mul, neg, n = self.add_table, self.mul_table, self.neg_table, len(b) - 1
@@ -227,40 +252,23 @@ class _ExtensionField(_Field):
         return quot, trim(rem[:n])
 
 
-def _primes_dividing(n: int) -> List[int]:
-    return [r for r in range(2, n + 1) if n % r == 0 and all(r % s for s in range(2, r))]
-
-
 def _first_irreducible(prime: _PrimeField, k: int) -> Poly:
     """The first monic irreducible z^k + tail over F_p, tails in ascending base-p index.
 
     Rabin's test (Ben-Or, FOCS 1981): f of degree k is irreducible iff z^(p^k)
-    = z mod f and gcd(z^(p^(k/r)) - z, f) = 1 for each prime r dividing k.
+    = z mod f and gcd(z^(p^(k/r)) - z, f) = 1 for each r > 1 dividing k (the
+    primes r suffice, and an irreducible f passes for every r).
     """
     p = prime.p
     for index in range(p**k):
         f = [index // p**i % p for i in range(k)] + [1]
         if prime.pow_mod([0, 1], p**k, f) == [0, 1] and all(
             len(prime.gcd(f, prime.minus_y(prime.pow_mod([0, 1], p ** (k // r), f)))) == 1
-            for r in _primes_dividing(k)
+            for r in range(2, k + 1)
+            if k % r == 0
         ):
             return f
     raise AssertionError("every degree has a monic irreducible")
-
-
-def _generator_powers(prime: _PrimeField, modulus: Poly) -> List[int]:
-    """g^0, ..., g^(q-2) as elements, g the first generator of F_q^* in int order."""
-    p, k = prime.p, len(modulus) - 1
-    n = p**k - 1
-    for g in range(2, n + 1):
-        digits = trim([g // p**i % p for i in range(k)])
-        if all(prime.pow_mod(digits, n // r, modulus) != [1] for r in _primes_dividing(n)):
-            powers, a = [1], [1]
-            for _ in range(n - 1):
-                a = prime.divide(prime.mul(a, digits), modulus)[1]
-                powers.append(sum(c * p**i for i, c in enumerate(a)))
-            return powers
-    raise AssertionError("the multiplicative group of a finite field is cyclic")
 
 
 @lru_cache(maxsize=32)

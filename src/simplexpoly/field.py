@@ -386,6 +386,14 @@ def element_to_text(a: FieldElement) -> str:
 _CYC_TERM = re.compile(r"([+-]?[^+-]*)")
 
 
+def _fraction(term: str, text: str) -> Fraction:
+    """The rational term of the literal text."""
+    try:
+        return Fraction(term)
+    except ZeroDivisionError:
+        raise ZeroDivisionError(f"zero denominator in {text!r}") from None
+
+
 def parse_element(spec: FieldSpec, text: str) -> FieldElement:
     """Parse a field literal: '5/6' over Q, '3' over F_p, '1+2*w' over Q(w)."""
     text = text.strip().replace(" ", "")
@@ -394,7 +402,7 @@ def parse_element(spec: FieldSpec, text: str) -> FieldElement:
     if spec.kind == PRIME_KIND and "/" not in text:
         return spec.from_int(int(text))
     if spec.kind != CYCLOTOMIC_KIND:
-        return spec.from_fraction(Fraction(text))
+        return spec.from_fraction(_fraction(text, text))
     r, s = Fraction(0), Fraction(0)
     for term in _CYC_TERM.findall(text):
         if not term:
@@ -406,7 +414,7 @@ def parse_element(spec: FieldSpec, text: str) -> FieldElement:
             elif body == "-":
                 s -= 1
             else:
-                s += Fraction(body)
+                s += _fraction(body, text)
         else:
-            r += Fraction(term)
+            r += _fraction(term, text)
     return FieldElement(spec, (r, s))

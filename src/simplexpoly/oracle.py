@@ -29,8 +29,8 @@ first divisor in enumeration order.
 
 Before any of that, a factor-degree sieve restricts the input to up to eight
 seeded lines on which it keeps its degree, and factors each squarefree
-restriction by distinct-degree factorization (``_univariate``). A degree
-that is no sum of some line's factor degrees has no divisor, so it is
+restriction by distinct-degree factorization (both in ``_univariate``). A
+degree that is no sum of some line's factor degrees has no divisor, so it is
 charged to the candidate and table budgets, and counted in
 ``candidates_tried``, as though searched, but none of its candidates is
 enumerated; with no degree left open no filter line is built. The lines lie
@@ -78,7 +78,8 @@ class SearchBudget:
     ``max_candidates`` caps the candidates enumerated through the degree
     being searched (for a non-homogeneous input, the leading forms searched
     and the runs they leave); ``time_limit`` is wall-clock seconds. The
-    accept tables of one degree have a fixed budget, _MAX_TABLE_BYTES.
+    accept tables of one degree have a fixed budget, _MAX_TABLE_BYTES, and
+    so do the filter lines' restrictions of the input.
     """
 
     max_degree: Optional[int] = None
@@ -229,12 +230,12 @@ def _accept_tables(
     scalars = np.arange(1, q)[:, None, None]
     step = max(1, _CHUNK // max(1, restricted.size))
     for lo in range(0, q**d, step):
-        _check_deadline(deadline)
         idx = np.arange(lo, min(lo + step, q**d))
         monic = np.ones((len(idx), d + 1), dtype=np.int64)
         monic[:, :d] = idx[:, None] // q ** np.arange(d) % q
         rem = np.repeat(restricted[:, None, :], len(idx), axis=1)
         for top in range(n - 1, d - 1, -1):
+            _check_deadline(deadline)  # one chunk's steps are O(input degree)
             span = slice(top - d, top + 1)
             rem[:, :, span] = (rem[:, :, span] - rem[:, :, top, None] * monic) % q
         line, row = np.nonzero(~rem.any(axis=2))
@@ -267,47 +268,6 @@ def _low_codes(cols: np.ndarray, q: int) -> np.ndarray:
     return codes
 
 
-def _restrict(
-    terms: Sequence, point: Sequence[int], direction: Sequence[int], q: int, bits: int
-) -> List[int]:
-    """The dense coefficients of p(point + s direction) in s, by Kronecker substitution.
-
-    terms holds p's ([(variable, exponent), ...], payload) pairs, payloads
-    in F_p, and the line lies in F_q^n, q = p^k. An element of F_q is a
-    polynomial in z with its base-p digits as coefficients (``_univariate``),
-    so p evaluated over the integers at z = 2^bits and s = 2^(bits w), w a
-    multiple of k past the z-degree deg (k - 1) of each coefficient in s, has
-    nonnegative coefficients in z and s, each below 2^bits when bits covers
-    their sum at z = s = 1: the base-2^bits digits of the value are those
-    coefficients, reduced mod p at the end and then mod the field's modulus.
-    Over F_p, z is absent and w = 1.
-    """
-    field = _univariate.field(q)
-    width = 1
-    if field.k > 1:
-        deg = max(sum(e for _, e in powers) for powers, _ in terms)
-        width = field.k * -(-(deg * (field.k - 1) + 1) // field.k)
-        point, direction = (
-            [sum(d << bits * j for j, d in enumerate(field.digits[c])) for c in coords]
-            for coords in (point, direction)
-        )
-    # each variable's powers on the line, computed as far as a term needs them
-    powers_of = [[1, c + (v << bits * width)] for c, v in zip(point, direction)]
-    total = 0
-    for powers, c in terms:
-        for i, e in powers:
-            row = powers_of[i]
-            while len(row) <= e:
-                row.append(row[-1] * row[1])
-            c *= row[e]
-        total += c
-    mask, out = (1 << bits) - 1, []
-    while total:
-        out.append((total & mask) % field.p)
-        total >>= bits
-    return _univariate.trim(out if field.k == 1 else field.from_z(out, width))
-
-
 @lru_cache(maxsize=64)
 def _sieve_lines(q: int, arity: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
     """The sieve's seeded lines (point, direction) of F_q^arity, in the order drawn."""
@@ -324,10 +284,10 @@ def _open_degrees(p: Polynomial, cap: int, deadline: float) -> Set[int]:
     to that line. The sieve restricts p to up to _SIEVE_LINES seeded lines
     point + s direction, skips each restriction that drops p's degree or is
     not squarefree, and closes each d that is no such sum on some line
-    (degree-set intersection: D. R. Musser, J. ACM 22, 1975). It stops once
-    every degree is closed. A restriction of high degree costs more to
-    factor than the search it could spare, so deg p <= _SIEVE_MAX_DEGREE, or
-    every degree stays open.
+    (degree-set intersection: D. R. Musser, J. ACM 22, 1975). It restricts p
+    to no more lines once every degree is closed. A restriction of high
+    degree costs more to factor than the search it could spare, so deg p <=
+    _SIEVE_MAX_DEGREE, or every degree stays open.
 
     Over F_3 the lines lie in F_27^n: an F_3-line is too coarse to close
     anything, and F_9-lines fail whenever p splits over F_9. An irreducible
@@ -337,24 +297,19 @@ def _open_degrees(p: Polynomial, cap: int, deadline: float) -> Set[int]:
     """
     opened = (1 << cap + 1) - 2  # bit d for each open degree d
     deg = p.degree()
-    if deg > _SIEVE_MAX_DEGREE:
+    if not opened or deg > _SIEVE_MAX_DEGREE:
         return set(range(1, cap + 1))
-    q = 27 if p.field.p == 3 else p.field.p  # the lines' field
-    field = _univariate.field(q)
+    field = _univariate.field(27 if p.field.p == 3 else p.field.p)  # the lines' field
     terms = [([(i, e) for i, e in enumerate(exps) if e], c) for exps, c in p.terms_descending()]
-    # each coefficient of the restriction over the integers is at most its value
-    # at s = 1 (and z = 1), where each coordinate is at most 2 k (p - 1)
-    bits = (len(terms) * (field.p - 1) * (2 * field.k * (field.p - 1)) ** deg).bit_length()
-    for point, direction in _sieve_lines(q, p.arity):
-        if not opened:
-            break
+    for restricted in field.restrictions(terms, _sieve_lines(field.order, p.arity)):
         _check_deadline(deadline)
-        restricted = _restrict(terms, point, direction, q, bits)
         if len(restricted) == deg + 1 and field.is_squarefree(restricted):
             sums = 1  # bit k: some of the factors' degrees add up to k
             for e in field.factor_degrees(restricted):
                 sums |= sums << e
             opened &= sums
+            if not opened:
+                break
     return {d for d in range(1, cap + 1) if opened >> d & 1}
 
 
@@ -397,12 +352,19 @@ class _Search:
         self.p, self.q, self.deadline = p, p.field.p, deadline
         # first: it bounds q, for the sieve's field and the filter lines' int64 products
         _check_table(self.q, 1)
+        # and the filter lines' int64 restrictions of p bound its degree
+        deg = p.degree()
+        size = _LINES * (deg + 1) * 8
+        if size > _MAX_TABLE_BYTES:
+            raise _Refused(
+                f"filter lines of {size} bytes for input degree {deg} exceed budget "
+                f"{_MAX_TABLE_BYTES}"
+            )
         self.open = _open_degrees(p, cap, deadline)
         self.last = max(self.open, default=0)
         if not self.open:
             return
         self.homogeneous, _ = p.is_homogeneous()
-        deg = p.degree()
         self.lines = _filter_lines(p, self.q, deg)
         self.restricted = np.array(
             [r for _, _, r in self.lines], dtype=np.int64
@@ -422,18 +384,18 @@ class _Search:
         is the enumeration order. Runs, a sorted list of indices over the
         degree-d monomials, limit the search to the candidates [r q^k,
         (r+1) q^k) whose degree-d form has index r, for each run r. A degree
-        the sieve closed is searched with no run.
+        the sieve closed yields nothing; only its tables are built.
         """
         p, q = self.p, self.q
         size = _check_table(q, d)
         if d > self.last:
             return
-        if d not in self.open:
-            runs = []
         # as many lines as the budget holds; with none, one that passes everything
         used = self.lines[: _MAX_TABLE_BYTES // size]
         tables = _accept_tables(self.restricted[: len(used)], self.tables, d, q, self.deadline)
         self.tables = tables
+        if d not in self.open:
+            return
         monos = _monomials_desc(p.arity, d, exact=self.homogeneous)
         keys = [_key(m) for m in monos]
         n = len(monos)

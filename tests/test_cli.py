@@ -77,6 +77,11 @@ class TestClassifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("usage error: char2 takes integer literals for --a and --t")
 
+    @pytest.mark.parametrize("field, a", [("Q", "1/0"), ("Qw", "1/0*w"), ("5", "2/0")])
+    def test_zero_denominator_is_usage_error(self, capsys, field, a):
+        assert main(["classify", "--field", field, "--m", "3", "--a", a, "--t", "1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: zero denominator in {a!r}\n"
+
     def test_char2_certificate_at_large_m(self, capsys):
         # (a + x_1 + ... + x_117)^4 has 8.5 M terms over Q; mod 2 it has 118
         code, report = run_json(

@@ -187,6 +187,36 @@ class TestBruteForceSearch:
         assert len(started) == 1 and built == ["raised"]
         assert divisions == []
 
+    def test_time_limit_holds_within_a_table_build(self, monkeypatch):
+        # x^2000 + 1 over F_3: its leading form's degree-1 table is one chunk
+        # of tails, long-divided in 2,000 steps; the clock passes the deadline
+        # at its second reading inside the build, which must stop there and
+        # not finish the chunk
+        started, readings, built = [], [], []
+        accept_tables = oracle._accept_tables
+
+        def recording_tables(*args):
+            started.append(args)
+            try:
+                built.append(accept_tables(*args))
+            except oracle._Refused:
+                built.append("raised")
+                raise
+            return built[-1]
+
+        def monotonic():
+            if started:
+                readings.append(None)
+            return 100.0 if len(readings) > 1 else 0.0
+
+        monkeypatch.setattr(oracle, "_accept_tables", recording_tables)
+        monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=monotonic))
+        outcome = brute_force_factor_search(
+            parse_polynomial("x^2000+1", F3, 1, ["x"]), SearchBudget(time_limit=1.0)
+        )
+        assert outcome == BudgetExceeded("time limit exceeded")
+        assert built == ["raised"] and len(readings) == 2
+
     def test_time_limit_holds_while_candidates_are_counted(self, monkeypatch):
         # x^100000 + 1 over F_3 has 50,000 candidate degrees, and summing their
         # q^d tails up front once took seconds; the clock passes the deadline
@@ -303,6 +333,16 @@ class TestBruteForceSearch:
             f"accept table of {q**2} bytes for degree 1 exceeds budget 8388608"
         )
 
+    def test_filter_lines_are_budgeted(self, small_arrays):
+        # the eight filter lines' int64 restrictions of x^2000000 + 1 would be
+        # 128 MB: refused before the sieve or _filter_lines allocates them
+        p = parse_polynomial("x^2000000+1", F3, 1, ["x"])
+        size = oracle._LINES * 2000001 * 8
+        assert brute_force_factor_search(p) == BudgetExceeded(
+            f"filter lines of {size} bytes for input degree 2000000 exceed budget "
+            f"{oracle._MAX_TABLE_BYTES}"
+        )
+
     def test_filter_lines_hold_no_table_of_q_rows(self, small_arrays):
         # every residue's powers up to the input degree would be 2003 * 20001
         # entries, 320 MB; the restrictions alone are 8 * 20001
@@ -408,6 +448,35 @@ class TestFactorDegreeSieve:
         monkeypatch.setattr(oracle, "_open_degrees", lambda p, cap, deadline: set(range(1, cap + 1)))
         assert brute_force_factor_search(p) == refused
 
+    def test_sieve_restricts_to_no_line_past_the_last_closure(self, monkeypatch):
+        # the irreducible F_7, m = 4, t = 3 quartic: its first line closes
+        # degrees 1 and 2, and the sieve restricts it to no second line, nor
+        # to any line when no degree is asked for
+        p, field = build_g(GParams.of(F7, 4, 0, 3)), _univariate.field(7)
+        lines, restrictions = [], field.restrictions
+        monkeypatch.setattr(
+            field, "restrictions", lambda *a: (lines.append(r) or r for r in restrictions(*a))
+        )
+        assert oracle._open_degrees(p, 2, inf) == set() and len(lines) == 1
+        assert oracle._open_degrees(p, 0, inf) == set() and len(lines) == 1
+
+    def test_closed_degree_below_an_open_one_builds_only_tables(self, monkeypatch):
+        # (x^2 + 2 y^2)(x^2 + 3 y^2) over F_5: the sieve closes degree 1 and
+        # leaves 2 open, so degree 1 builds its accept tables, which degree 2
+        # extends, but no low-pattern codes of its own
+        x = ["x", "y"]
+        f, g = (parse_polynomial(t, F5, 2, x) for t in ("x^2+2*y^2", "x^2+3*y^2"))
+        assert oracle._open_degrees(f * g, 2, inf) == {2}
+        codes, tables = [], []
+        low_codes, accept_tables = oracle._low_codes, oracle._accept_tables
+        monkeypatch.setattr(oracle, "_low_codes", lambda *a: codes.append(a) or low_codes(*a))
+        monkeypatch.setattr(
+            oracle, "_accept_tables", lambda *a: tables.append(a) or accept_tables(*a)
+        )
+        outcome = brute_force_factor_search(f * g, SearchBudget(homogeneous_only=True))
+        assert outcome == FactorFound(f, g)
+        assert [a[2] for a in tables] == [1, 2] and len(codes) == 1
+
     def test_restriction_matches_evaluation(self):
         rng = Random(23)
         for q in (5, 13):
@@ -418,9 +487,8 @@ class TestFactorDegreeSieve:
                     ([(i, e) for i, e in enumerate(exps) if e], c)
                     for exps, c in p.terms_descending()
                 ]
-                bits = (len(terms) * (q - 1) * (2 * q - 2) ** p.degree()).bit_length()
                 point, direction = [rng.randrange(q) for _ in "xyz"], [rng.randrange(q) for _ in "xyz"]
-                restricted = oracle._restrict(terms, point, direction, q, bits)
+                (restricted,) = _univariate.field(q).restrictions(terms, [(point, direction)])
                 assert len(restricted) <= p.degree() + 1
                 for s in range(q):
                     line = [field.from_int(c + s * v) for c, v in zip(point, direction)]
@@ -428,18 +496,20 @@ class TestFactorDegreeSieve:
 
 
     def test_restriction_over_f27_matches_evaluation(self):
-        # F_3 inputs restricted to lines of F_27^3, each point of the line
-        # evaluated on the field's tables
+        # F_3 inputs up to the sieve's degree 12, whose z-width 25 is not a
+        # multiple of 3, restricted to lines of F_27^3, each point of the
+        # line evaluated on the field's tables
         F27, rng = _univariate.field(27), Random(27)
         add, mul = F27.add_table, F27.mul_table
-        for _ in range(20):
-            p = random_polynomial(F3, 3, rng, nonzero=True)
+        inputs = [random_polynomial(F3, 3, rng, max_exp=4, nonzero=True) for _ in range(20)]
+        inputs.append(parse_polynomial("x^4*y^4*z^4+2*x^12+y^5*z^7+x+1", F3, 3, list("xyz")))
+        assert max(p.degree() for p in inputs) == 12
+        for p in inputs:
             terms = [
                 ([(i, e) for i, e in enumerate(exps) if e], c) for exps, c in p.terms_descending()
             ]
-            bits = (len(terms) * 2 * 12 ** p.degree()).bit_length()
             point, direction = [rng.randrange(27) for _ in "xyz"], [rng.randrange(27) for _ in "xyz"]
-            restricted = oracle._restrict(terms, point, direction, 27, bits)
+            (restricted,) = F27.restrictions(terms, [(point, direction)])
             assert len(restricted) <= p.degree() + 1
             for s in range(27):
                 line = [add[c][mul[s][v]] for c, v in zip(point, direction)]
