@@ -8,20 +8,21 @@ modulo the first monic irreducible of degree k. ``field(q)`` holds the
 arithmetic of F_q, and its methods return new lists. ``factor_degrees`` is
 distinct-degree factorization (von zur Gathen & Gerhard, *Modern Computer
 Algebra*, ch. 14): the degrees of the irreducible factors, without the
-factors. ``restrictions`` restricts a polynomial over F_p to lines of F_q^n.
+factors; the only irreducibility test here, it picks the F_{p^k} modulus.
+``restrictions`` restricts a polynomial over F_p to lines of F_q^n;
+``open_degrees``, the oracle's factor-degree sieve, factors the results.
 
-gcd, powers modulo f, the squarefree test, ``factor_degrees`` and
-``restrictions`` are written once, in ``_Field``, on each field's own
-product and long division: residues reduced mod p over F_p, add and mul
-tables over F_{p^k}. A long division written once too, on one vector
-operation of the field per step, made the squarefree test and
-``factor_degrees`` over F_5..F_13 1.6-1.8 times slower.
+These, gcd, powers modulo f and the squarefree test are written once, in
+``_Field``, on each field's own product and long division: residues reduced
+mod p over F_p, add and mul tables over F_{p^k}. A long division written
+once too, on one vector operation of the field per step, made the squarefree
+test and ``factor_degrees`` over F_5..F_13 1.6-1.8 times slower.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -60,12 +61,6 @@ class _Field:
                 base = self.divide(self.mul(base, base), f)[1]
         return result
 
-    def minus_y(self, h: Poly) -> Poly:
-        """h - y; -1 is the element p - 1 of the prime field."""
-        shifted = h + [0] * (2 - len(h))
-        shifted[1] = self.add(shifted[1], self.p - 1)
-        return trim(shifted)
-
     def is_squarefree(self, f: Poly) -> bool:
         """f, of degree at least 1, has no repeated factor: gcd(f, f') = 1."""
         df = trim(self.derivative(f)[1:])
@@ -83,7 +78,9 @@ class _Field:
         while len(f) - 1 >= 2 * (i + 1):
             i += 1
             h = self.pow_mod(h, self.order, f)
-            g = self.gcd(f, self.minus_y(h))
+            g = h + [0] * (2 - len(h))  # h - y; -1 is the element p - 1 of the prime field
+            g[1] = self.add(g[1], self.p - 1)
+            g = self.gcd(f, trim(g))
             if len(g) > 1:
                 degrees += [i] * ((len(g) - 1) // i)
                 f = self.divide(f, g)[0]
@@ -110,10 +107,9 @@ class _Field:
         # coordinate is at most 2 k (p - 1)
         bits = (len(terms) * (p - 1) * (2 * k * (p - 1)) ** deg).bit_length()
         width, mask = deg * (k - 1) + 1, (1 << bits) - 1
-        if k > 1:
-            rows = [list(range(p))]  # row j holds d z^j for each digit d; z is the element p
-            while len(rows) < width:
-                rows.append([self.mul_table[e][p] for e in rows[-1]])
+        rows = [list(range(p))]  # row j holds d z^j for each digit d; z is the element p
+        while len(rows) < width:
+            rows.append([self.mul_table[e][p] for e in rows[-1]])
         at_z = [0]  # each element's digit polynomial at z = 2^bits, digit by digit
         for j in range(k):
             at_z = [c + (d << bits * j) for d in range(p) for c in at_z]
@@ -132,13 +128,35 @@ class _Field:
             while total:
                 digits.append((total & mask) % p)
                 total >>= bits
-            if k > 1:
-                digits += [0] * (-len(digits) % width)
-                add, coeffs = self.add_table, [0] * (len(digits) // width)
-                for j, scaled in enumerate(rows):
-                    coeffs = [add[c][scaled[d]] for c, d in zip(coeffs, digits[j::width])]
-                digits = coeffs
-            yield trim(digits)
+            digits += [0] * (-len(digits) % width)
+            coeffs = digits[::width]  # row 0 is the identity: over F_p no table is read
+            for j in range(1, width):
+                add, scaled = self.add_table, rows[j]
+                coeffs = [add[c][scaled[d]] for c, d in zip(coeffs, digits[j::width])]
+            yield trim(coeffs)
+
+    def open_degrees(
+        self, terms: Sequence, deg: int, lines: Iterable, cap: int, check: Callable[[], None]
+    ) -> int:
+        """The bit set of the degrees 1..cap that no line rules out, for P of degree deg.
+
+        terms and lines are as in ``restrictions``. A factor of P of degree d
+        keeps its degree where P does, so d sums some factor degrees of each
+        squarefree restriction of degree deg (degree-set intersection: D. R.
+        Musser, J. ACM 22, 1975). No line is restricted once every degree is
+        closed; check() runs once per line, before it is factored.
+        """
+        opened = (1 << cap + 1) - 2  # bit d for each open degree d
+        for restricted in self.restrictions(terms, lines):
+            check()
+            if len(restricted) == deg + 1 and self.is_squarefree(restricted):
+                sums = 1  # bit k: some of the factors' degrees add up to k
+                for e in self.factor_degrees(restricted):
+                    sums |= sums << e
+                opened &= sums
+                if not opened:
+                    break
+        return opened
 
 
 class _PrimeField(_Field):
@@ -253,22 +271,11 @@ class _ExtensionField(_Field):
 
 
 def _first_irreducible(prime: _PrimeField, k: int) -> Poly:
-    """The first monic irreducible z^k + tail over F_p, tails in ascending base-p index.
-
-    Rabin's test (Ben-Or, FOCS 1981): f of degree k is irreducible iff z^(p^k)
-    = z mod f and gcd(z^(p^(k/r)) - z, f) = 1 for each r > 1 dividing k (the
-    primes r suffice, and an irreducible f passes for every r).
-    """
+    """The first monic irreducible z^k + tail over F_p, tails in ascending base-p index:
+    the first squarefree one that distinct-degree factorization finds one factor in."""
     p = prime.p
-    for index in range(p**k):
-        f = [index // p**i % p for i in range(k)] + [1]
-        if prime.pow_mod([0, 1], p**k, f) == [0, 1] and all(
-            len(prime.gcd(f, prime.minus_y(prime.pow_mod([0, 1], p ** (k // r), f)))) == 1
-            for r in range(2, k + 1)
-            if k % r == 0
-        ):
-            return f
-    raise AssertionError("every degree has a monic irreducible")
+    monics = ([index // p**i % p for i in range(k)] + [1] for index in range(p**k))
+    return next(f for f in monics if prime.is_squarefree(f) and prime.factor_degrees(f) == [k])
 
 
 @lru_cache(maxsize=32)

@@ -27,18 +27,18 @@ chunk of candidates at once, the other lines only for its survivors. The
 filter only ever rejects non-divisors, so the reported factor is always the
 first divisor in enumeration order.
 
-Before any of that, a factor-degree sieve restricts the input to up to eight
-seeded lines on which it keeps its degree, and factors each squarefree
-restriction by distinct-degree factorization (both in ``_univariate``). A
-degree that is no sum of some line's factor degrees has no divisor, so it is
-charged to the candidate and table budgets, and counted in
-``candidates_tried``, as though searched, but none of its candidates is
-enumerated; with no degree left open no filter line is built. The lines lie
-in F_q^n, and for q = 3 in F_27^n: an F_3-line is too coarse, and over
-F_{3^k} with k odd an irreducible quartic stays irreducible. The sieve runs
-on inputs of degree at most 12. An inhomogeneous input's leading form is
-sieved first, and the input's own sieve and search stop at the last degree
-the leading form leaves open: past it no run can hold a divisor.
+Before any of that, a factor-degree sieve (``open_degrees`` of a
+``_univariate`` field) restricts the input to up to eight seeded lines on
+which it keeps its degree, and factors each squarefree restriction by
+distinct-degree factorization. A degree that is no sum of some line's factor
+degrees has no divisor, so it is charged to the candidate and table budgets,
+and counted in ``candidates_tried``, as though searched, but none of its
+candidates is enumerated; with no degree left open no filter line is built.
+The lines lie in F_q^n, and for q = 3 in F_27^n: an F_3-line is too coarse,
+and over F_{3^k} with k odd an irreducible quartic stays irreducible. The
+sieve runs on inputs of degree at most 12. An inhomogeneous input's leading
+form is sieved first, and the input's own sieve and search stop at the last
+degree the leading form leaves open: past it no run can hold a divisor.
 """
 
 from __future__ import annotations
@@ -279,15 +279,10 @@ def _sieve_lines(q: int, arity: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, 
 def _open_degrees(p: Polynomial, cap: int, deadline: float) -> Set[int]:
     """The candidate degrees 1..cap that the factor-degree sieve leaves open.
 
-    If p = A B with deg A = d, and p keeps its degree on a line, then so
-    does A, so d is the sum of some of the factor degrees of p restricted
-    to that line. The sieve restricts p to up to _SIEVE_LINES seeded lines
-    point + s direction, skips each restriction that drops p's degree or is
-    not squarefree, and closes each d that is no such sum on some line
-    (degree-set intersection: D. R. Musser, J. ACM 22, 1975). It restricts p
-    to no more lines once every degree is closed. A restriction of high
-    degree costs more to factor than the search it could spare, so deg p <=
-    _SIEVE_MAX_DEGREE, or every degree stays open.
+    ``_Field.open_degrees`` restricts p to up to _SIEVE_LINES seeded lines
+    point + s direction, checking the deadline once per line. A restriction
+    of high degree costs more to factor than the search it could spare, so
+    deg p <= _SIEVE_MAX_DEGREE, or every degree stays open.
 
     Over F_3 the lines lie in F_27^n: an F_3-line is too coarse to close
     anything, and F_9-lines fail whenever p splits over F_9. An irreducible
@@ -295,21 +290,11 @@ def _open_degrees(p: Polynomial, cap: int, deadline: float) -> Set[int]:
     factors, r | D the number of its absolutely irreducible factors, so
     with k = 3, odd, an irreducible quartic stays irreducible.
     """
-    opened = (1 << cap + 1) - 2  # bit d for each open degree d
-    deg = p.degree()
-    if not opened or deg > _SIEVE_MAX_DEGREE:
+    if not cap or p.degree() > _SIEVE_MAX_DEGREE:
         return set(range(1, cap + 1))
     field = _univariate.field(27 if p.field.p == 3 else p.field.p)  # the lines' field
-    terms = [([(i, e) for i, e in enumerate(exps) if e], c) for exps, c in p.terms_descending()]
-    for restricted in field.restrictions(terms, _sieve_lines(field.order, p.arity)):
-        _check_deadline(deadline)
-        if len(restricted) == deg + 1 and field.is_squarefree(restricted):
-            sums = 1  # bit k: some of the factors' degrees add up to k
-            for e in field.factor_degrees(restricted):
-                sums |= sums << e
-            opened &= sums
-            if not opened:
-                break
+    lines, check = _sieve_lines(field.order, p.arity), lambda: _check_deadline(deadline)
+    opened = field.open_degrees(p.sparse_terms(), p.degree(), lines, cap, check)
     return {d for d in range(1, cap + 1) if opened >> d & 1}
 
 

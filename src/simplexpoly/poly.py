@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import partial
 from itertools import compress
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from .field import (
     CYCLOTOMIC_KIND,
@@ -279,6 +279,10 @@ class Polynomial:
             for key in sorted(store, key=itemgetter(slice(1, None)), reverse=True)
         )
 
+    def sparse_terms(self) -> List[Tuple[List[Tuple[int, int]], object]]:
+        """([(variable, exponent), ...], payload) pairs read off the keys, in store order."""
+        return [([(-v, e) for v, e in zip(k[1::2], k[2::2])], c) for k, c in self._store.items()]
+
     # -- ring operations -------------------------------------------------------
 
     def _check_ring(self, other: "Polynomial") -> None:
@@ -497,6 +501,9 @@ def parse_polynomial(
 ) -> Polynomial:
     """Inverse of :func:`poly_to_text`; round-trips exactly."""
     index = {name: i for i, name in enumerate(_checked_names(field, arity, names))}
+    for name in index:
+        if not (m := _FACTOR.match(name)) or m.group(2):
+            raise ValueError(f"variable name {name!r} is not an identifier")
     compact = text.replace(" ", "")
     if not compact:
         raise ValueError("empty polynomial text")

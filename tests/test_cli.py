@@ -286,6 +286,14 @@ class TestOracleCommand:
         argv = ["oracle", "--poly", "x+1", "--field", "5", "--vars", ""]
         assert main(argv) == EXIT_USAGE
 
+    @pytest.mark.parametrize("names, bad", [("x,", ""), ("x,1", "1"), ("x, y", " y")])
+    def test_variable_name_must_be_an_identifier(self, capsys, names, bad):
+        # "1" would render as the constant 1, and "" or " y" could never be parsed
+        argv = ["oracle", "--poly", "x", "--field", "5", "--vars", names]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"usage error: variable name {bad!r} is not an identifier\n"
+
     def test_candidate_count_past_4300_digits_is_a_budget_refusal(self, capsys):
         # the 3^10000 linear forms are refused by degree, never formatted
         names = ",".join(f"x{i}" for i in range(1, 10_001))

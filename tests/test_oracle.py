@@ -483,12 +483,9 @@ class TestFactorDegreeSieve:
             field = prime_field(q)
             for _ in range(20):
                 p = random_polynomial(field, 3, rng, nonzero=True)
-                terms = [
-                    ([(i, e) for i, e in enumerate(exps) if e], c)
-                    for exps, c in p.terms_descending()
-                ]
                 point, direction = [rng.randrange(q) for _ in "xyz"], [rng.randrange(q) for _ in "xyz"]
-                (restricted,) = _univariate.field(q).restrictions(terms, [(point, direction)])
+                lines = [(point, direction)]
+                (restricted,) = _univariate.field(q).restrictions(p.sparse_terms(), lines)
                 assert len(restricted) <= p.degree() + 1
                 for s in range(q):
                     line = [field.from_int(c + s * v) for c, v in zip(point, direction)]
@@ -505,11 +502,8 @@ class TestFactorDegreeSieve:
         inputs.append(parse_polynomial("x^4*y^4*z^4+2*x^12+y^5*z^7+x+1", F3, 3, list("xyz")))
         assert max(p.degree() for p in inputs) == 12
         for p in inputs:
-            terms = [
-                ([(i, e) for i, e in enumerate(exps) if e], c) for exps, c in p.terms_descending()
-            ]
             point, direction = [rng.randrange(27) for _ in "xyz"], [rng.randrange(27) for _ in "xyz"]
-            (restricted,) = F27.restrictions(terms, [(point, direction)])
+            (restricted,) = F27.restrictions(p.sparse_terms(), [(point, direction)])
             assert len(restricted) <= p.degree() + 1
             for s in range(27):
                 line = [add[c][mul[s][v]] for c, v in zip(point, direction)]

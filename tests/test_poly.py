@@ -202,6 +202,24 @@ class TestStructure:
         assert (x**2 + x).is_homogeneous() == (False, None)
         assert Polynomial.zero(Q, 2).is_homogeneous() == (True, None)
 
+    @pytest.mark.parametrize("field", [Q, CYCLOTOMIC, F5], ids=repr)
+    def test_sparse_terms_rebuild_the_polynomial(self, field):
+        rng = Random(29)
+        for _ in range(50):
+            p = random_polynomial(field, 3, rng)
+            raw = {}
+            for pairs, payload in p.sparse_terms():
+                assert [v for v, _ in pairs] == sorted({v for v, _ in pairs})
+                assert all(e > 0 for _, e in pairs)
+                exps = [0] * 3
+                for v, e in pairs:
+                    exps[v] = e
+                raw[tuple(exps)] = FieldElement(field, payload)
+            assert len(raw) == len(p.terms)
+            assert Polynomial.from_terms(field, 3, raw) == p
+        assert Polynomial.constant(field, 3, 2).sparse_terms() == [([], field.from_int(2).value)]
+        assert Polynomial.zero(field, 3).sparse_terms() == []
+
     def test_degree_of_zero_is_none(self):
         assert Polynomial.zero(Q, 2).degree() is None
 
@@ -298,6 +316,10 @@ class TestArgumentChecks:
             lambda: variables(Q, 2)[0].symmetric_reduce(0, 2),
             lambda: poly_to_text(variables(Q, 2)[0], ["x", "x"]),
             lambda: poly_to_text(variables(Q, 2)[0], ["x"]),
+            lambda: parse_polynomial("x", Q, 2, ["x", ""]),
+            lambda: parse_polynomial("x", Q, 2, ["x", "1"]),
+            lambda: parse_polynomial("x", Q, 2, ["x", " y"]),
+            lambda: parse_polynomial("x", Q, 2, ["x", "y^2"]),
         ],
         ids=[
             "short-monomial",
@@ -312,6 +334,10 @@ class TestArgumentChecks:
             "reduce-past-arity",
             "repeated-name",
             "too-few-names",
+            "empty-name",
+            "numeric-name",
+            "spaced-name",
+            "power-name",
         ],
     )
     def test_bad_arguments_rejected(self, call):

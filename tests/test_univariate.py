@@ -163,6 +163,49 @@ def test_squarefree_test_sees_repeated_factors():
     assert not F.is_squarefree([1] + [0] * 6 + [1])  # y^7 + 1 = (y + 1)^7
 
 
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # raised inside sympy
+def test_extension_moduli_match_sympy():
+    # for each q = p^k <= 169, k >= 2: monic of degree k, irreducible, and
+    # every monic tail of lower base-p index reducible
+    sympy = pytest.importorskip("sympy")
+    y = sympy.symbols("y")
+    for q in (4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128, 169):
+        F = U.field(q)
+        p, k = F.p, F.k
+        assert k >= 2 and p**k == q
+        assert len(F.modulus) == k + 1 and F.modulus[-1] == 1
+        index = sum(c * p**i for i, c in enumerate(F.modulus[:k]))
+        for lower in range(index + 1):
+            f = [lower // p**i % p for i in range(k)] + [1]
+            irreducible = sympy.Poly(list(reversed(f)), y, modulus=p).is_irreducible
+            assert irreducible == (lower == index), (q, f)
+
+
+def test_open_degrees_stops_where_check_raises():
+    # (x + y)(x + 2 y) over F_5 keeps degree 1 open on every line, so only
+    # check can stop the sieve before its lines run out
+    F = U.field(5)
+    terms = parse_polynomial("x^2+3*x*y+2*y^2", prime_field(5), 2, ["x", "y"]).sparse_terms()
+    drawn = []
+
+    def lines():
+        for i in range(1, 9):
+            drawn.append(i)
+            yield (0, i % 4 + 1), (1, 1)
+
+    assert F.open_degrees(terms, 2, lines(), 1, lambda: None) == 0b10 and len(drawn) == 8
+    calls, drawn[:] = [], []
+
+    def check():
+        calls.append(1)
+        if len(calls) == 2:
+            raise TimeoutError
+
+    with pytest.raises(TimeoutError):
+        F.open_degrees(terms, 2, lines(), 1, check)
+    assert len(calls) == 2 and len(drawn) <= 2
+
+
 @pytest.mark.parametrize("q", (3,) + PRIMES)
 def test_sieve_never_closes_a_factor_degree(q):
     # A * B with deg A = d has a divisor of degree d, so d stays open
