@@ -73,7 +73,7 @@ class SizeBudgetExceeded(Exception):
 def check_g_size(m: int) -> None:
     """Refuse an m whose quartic g would have more than MAX_G_TERMS terms."""
     terms = (m + 1) * (m + 2) // 2
-    if terms > MAX_G_TERMS:
+    if m >= 3 and terms > MAX_G_TERMS:  # the family refuses m < 3 itself
         raise SizeBudgetExceeded(
             f"g at m={m} has {terms} terms, above the limit of {MAX_G_TERMS}"
         )
@@ -219,7 +219,7 @@ def cmd_geometry(args: argparse.Namespace) -> Dict[str, object]:
                 f"simplex dimension {args.n} is above the limit of {MAX_SIMPLEX_N}"
             )
         work = args.samples * (args.n + 101) ** 2
-        if work > MAX_VERIFY_WORK:
+        if args.n >= 2 and work > MAX_VERIFY_WORK:  # regular_simplex refuses n < 2 itself
             raise SizeBudgetExceeded(
                 f"samples * (n + 101)^2 is {work}, above the limit of {MAX_VERIFY_WORK}"
             )

@@ -15,7 +15,7 @@ from typing import Dict, Iterator, List, Set, Tuple
 
 import numpy as np
 
-from .geometry import quadruple_residual, realize_in_plane
+from .geometry import quadruple_residual
 
 # The scan visits about bound^3 / 12 (w, x, y) triples; its time grows as
 # bound^3 and is 0.84 s at bound 1000 on one AMD EPYC core. Every int64 value
@@ -120,25 +120,23 @@ def enumerate_solutions(bound: int) -> List[SolutionTuple]:
 def realizability_report(sol: SolutionTuple) -> Dict[str, object]:
     """Which entries of the quadruple can act as the triangle side.
 
-    For each choice of side, tries to place a planar point at the remaining
-    three distances from an equilateral triangle of that side. With a
-    positive side the relation is also sufficient: as a monic quadratic in
-    the square of the third distance, its discriminant is 48 Area^2 of the
-    triangle (side, d1, d2) (Heron), so a real root needs that triangle,
-    and the roots are the squared distances of its two mirror-image points
-    to the third vertex. The relation is symmetric, and entries up to
-    1000 have squares and fourth powers that sum exactly in floats, so its
-    residual is the same for every side.
+    Every positive entry can when the quadruple is a nonnegative solution of
+    the exact relation, and none can otherwise: placing a planar point at the
+    remaining three distances from an equilateral triangle of that side
+    needs the relation, and with a positive side the relation is also
+    sufficient. As a monic quadratic in the square of the third distance, its
+    discriminant is 48 Area^2 of the triangle (side, d1, d2) (Heron), so a
+    real root needs that triangle, and the roots are the squared distances of
+    its two mirror-image points to the third vertex. The relation is
+    symmetric, and entries up to 1000 have squares and fourth powers that sum
+    exactly in floats, so its residual is the same for every side.
     """
     values = [float(v) for v in sol.values]
     residual = quadruple_residual(values[0], values[1:])
-    realizable = [
-        i for i, side in enumerate(values)
-        if side > 0 and realize_in_plane(side, *values[:i], *values[i + 1 :]) is not None
-    ]
+    solved = min(sol.values) >= 0 and is_solution(*sol.values)
     return {
         "values": list(sol.values),
         "primitive": sol.primitive,
-        "side_positions_realizable": realizable,
+        "side_positions_realizable": [i for i, v in enumerate(sol.values) if solved and v > 0],
         "relation_residuals": [residual] * len(values),
     }

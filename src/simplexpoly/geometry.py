@@ -15,13 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 _REL_TOL = 1e-12
 _WEIGHT_SUM_TOL = 1e-9
-_REALIZE_TOL = 1e-6  # relative slack of the planar placement in realize_in_plane
 # nonzero lengths accepted: the relation's fourth powers, and their sums and
 # squared sums at n = 1000, stay normal floats (a length above about 1e77 or
 # below about 1e-77 has a fourth power that does not)
@@ -160,27 +159,3 @@ def quadruple_residual(side: float, distances: Sequence[float]) -> float:
     """Relation defect normalized by the largest participating term."""
     lhs, rhs = _relation_sides(side, distances)
     return (lhs - rhs) / max(1.0, lhs, abs(rhs))
-
-
-def realize_in_plane(side: float, d1: float, d2: float, d3: float) -> Optional[np.ndarray]:
-    """A planar point at distances (d1, d2, d3) from the vertices of an
-    equilateral triangle of the given side, or None if there is none.
-
-    Intersects the circles around the first two vertices and checks the
-    third distance; used to report which solution quadruples are
-    geometrically realizable.
-    """
-    if side <= 0:
-        return None
-    # vertices (0, 0), (side, 0), and the apex (cx, cy) above them
-    cx, cy = side / 2.0, side * math.sqrt(3.0) / 2.0
-    x = (d1 * d1 - d2 * d2 + side * side) / (2.0 * side)
-    y_sq = d1 * d1 - x * x
-    if y_sq < -_REALIZE_TOL * max(d1 * d1, 1.0):
-        return None
-    y = math.sqrt(max(y_sq, 0.0))
-    scale = max(side, d1, d2, d3, 1.0)
-    for py in (y, -y):
-        if abs(math.hypot(x - cx, py - cy) - d3) <= _REALIZE_TOL * scale:
-            return np.array([x, py])
-    return None

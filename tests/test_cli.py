@@ -178,6 +178,23 @@ class TestSizeBudgets:
         assert code == EXIT_OK
         assert report["payload"]["n"] == n and report["payload"]["samples"] == samples
 
+    # below the lower bound the term and work counts grow again with |m| and |n|;
+    # such a size is a usage error that names the bound, not a budget overrun
+
+    def test_negative_m_classify_names_the_bound(self, capsys):
+        argv = ["classify", "--field", "Q", "--m", "-1000", "--a", "1", "--t", "1"]
+        assert main(argv) == EXIT_USAGE
+        assert "m >= 3, got m=-1000" in capsys.readouterr().err
+
+    def test_negative_m_construct_names_the_bound(self, capsys):
+        argv = ["construct", "--family", "f", "--field", "Q", "--m", "-1000", "--t", "1"]
+        assert main(argv) == EXIT_USAGE
+        assert "m >= 3, got m=-1000" in capsys.readouterr().err
+
+    def test_negative_n_verify_names_the_bound(self, capsys):
+        assert main(["geometry", "verify", "--n", "-1000000", "--a", "1"]) == EXIT_USAGE
+        assert "at least 2, got -1000000" in capsys.readouterr().err
+
 
 class TestConstructCommand:
     def test_polynomials_reparse(self, capsys):

@@ -237,8 +237,21 @@ class TestRealizability:
         assert all(abs(r) < 1e-9 for r in report["relation_residuals"])
 
     def test_matches_reference_report(self):
-        for s in enumerate_solutions(200):
+        for s in enumerate_solutions(400):
             assert realizability_report(s) == reference_realizability_report(s), s.values
+
+    def test_near_miss_not_realizable(self):
+        # off the relation by one in the last entry, within a relative 1e-6 of
+        # (3, 5, 7, 8) scaled by a million
+        sol = SolutionTuple((3000000, 5000000, 7000000, 8000001), False)
+        assert not is_solution(*sol.values)
+        assert realizability_report(sol)["side_positions_realizable"] == []
+
+    def test_negative_entry_not_realizable(self):
+        # the relation is even in each entry, but a distance is never negative
+        sol = SolutionTuple((-3, 5, 7, 8), True)
+        assert is_solution(*sol.values)
+        assert realizability_report(sol)["side_positions_realizable"] == []
 
     def test_every_nonzero_side_realizable_up_to_300(self):
         # with a positive side the relation is also sufficient: in the square of

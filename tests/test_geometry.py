@@ -12,7 +12,6 @@ from simplexpoly.geometry import (
     RegularSimplex,
     quadruple_residual,
     random_affine_weights,
-    realize_in_plane,
     regular_simplex,
     relation_residual,
     relation_value,
@@ -207,6 +206,9 @@ class TestRelationResidual:
         ]
         assert max(residuals) - min(residuals) < 1e-9
 
+    def test_relation_value_zero_on_solutions(self):
+        assert relation_value(8.0, [3.0, 5.0, 7.0]) == 0.0
+
     def test_consistency_with_symbolic_family(self):
         # numeric quadruples satisfying the relation kill the t = 3 family
         # member with the side as a fourth variable, exactly over Q
@@ -264,20 +266,3 @@ class TestSolveFourthDistance:
         # distances (0, a, a) from a vertex force the side itself as a solution
         solutions = solve_fourth_distance([0.0, 2.0, 2.0])
         assert any(abs(v - 2.0) < 1e-12 for v in solutions)
-
-
-class TestRealizeInPlane:
-    def test_classic_quadruple(self):
-        point = realize_in_plane(8.0, 3.0, 5.0, 7.0)
-        assert point is not None
-
-    def test_relation_without_realization(self):
-        # (0, 1, 1, 1) satisfies the relation with side 0 only; side 1 with
-        # distances (0, 1, 1) realizes at a vertex
-        assert realize_in_plane(1.0, 0.0, 1.0, 1.0) is not None
-
-    def test_far_distances_rejected(self):
-        assert realize_in_plane(1.0, 10.0, 10.0, 30.0) is None
-
-    def test_relation_value_zero_on_solutions(self):
-        assert relation_value(8.0, [3.0, 5.0, 7.0]) == 0.0
