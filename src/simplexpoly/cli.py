@@ -189,9 +189,7 @@ def cmd_classify(args: argparse.Namespace) -> Dict[str, object]:
 
 def cmd_oracle(args: argparse.Namespace) -> Dict[str, object]:
     field = prime_field(args.field)
-    names = args.vars.split(",") if args.vars else None
-    if names is None:
-        raise UsageError("oracle requires --vars (comma-separated variable names)")
+    names = args.vars.split(",")
     p = parse_polynomial(args.poly, field, len(names), names)
     budget = SearchBudget(
         max_degree=args.max_degree,

@@ -59,6 +59,7 @@ from .poly import Monomial, Polynomial, _key
 
 _CHUNK = 1 << 18  # most indices one filter step holds
 _LINES = 8  # filter lines on which the input does not vanish
+_MAX_CANDIDATES = 80_000_000  # monic candidates enumerated through the degree searched
 _MAX_TABLE_BYTES = 1 << 23  # the accept tables of one candidate degree, together
 _SIEVE_LINES = 8  # most lines the factor-degree sieve restricts the input to
 # highest input degree the sieve runs on: on dense bivariate inputs with a
@@ -75,17 +76,17 @@ class SearchBudget:
 
     ``max_degree`` caps the candidate degree (None: up to half the input
     degree); ``homogeneous_only`` refuses non-homogeneous inputs outright;
-    ``max_candidates`` caps the candidates enumerated through the degree
-    being searched (for a non-homogeneous input, the leading forms searched
-    and the runs they leave); ``time_limit`` is wall-clock seconds. The
-    accept tables of one degree have a fixed budget, _MAX_TABLE_BYTES, and
-    so do the filter lines' restrictions of the input.
+    ``time_limit`` is wall-clock seconds. The other budgets are fixed and
+    charged by ``brute_force_factor_search`` once per degree:
+    _MAX_CANDIDATES caps the candidates enumerated through the degree being
+    searched (for a non-homogeneous input, the leading forms searched and
+    the runs they leave), and _MAX_TABLE_BYTES one degree's accept tables
+    and, at degree 1, the filter lines' restrictions of the input.
     """
 
     max_degree: Optional[int] = None
     homogeneous_only: bool = False
     time_limit: Optional[float] = None
-    max_candidates: int = 80_000_000
 
     def __post_init__(self) -> None:
         if self.max_degree is not None and self.max_degree < 1:
@@ -307,44 +308,26 @@ def _check_deadline(deadline: float) -> None:
         raise _Refused("time limit exceeded")
 
 
-def _check_candidates(work: int, d: int, budget: SearchBudget) -> None:
+def _check_candidates(work: int, d: int) -> None:
     # the count itself is not formatted: it may run to thousands of digits
-    if work > budget.max_candidates:
-        raise _Refused(f"candidate space through degree {d} exceeds budget {budget.max_candidates}")
-
-
-def _check_table(q: int, d: int) -> int:
-    """Bytes of one line's accept table for degree d, refused past the budget."""
-    size = q ** (d + 1)
-    if size > _MAX_TABLE_BYTES:
-        raise _Refused(
-            f"accept table of {size} bytes for degree {d} exceeds budget {_MAX_TABLE_BYTES}"
-        )
-    return size
+    if work > _MAX_CANDIDATES:
+        raise _Refused(f"candidate space through degree {d} exceeds budget {_MAX_CANDIDATES}")
 
 
 class _Search:
     """The sieved, filtered trial division of one input, one candidate degree at a time.
 
     The factor-degree sieve runs first, on degrees 1..cap; with no degree
-    open no filter line is built. A closed degree is charged to the table
-    budget as though searched, and below the last open degree its tables
-    are still built: degree d's accept tables extend those of degree d-1,
-    so degrees must be searched in ascending order, each once.
+    open no filter line is built. Below the last open degree a closed
+    degree's tables are still built: degree d's accept tables extend those
+    of degree d-1, so degrees must be searched in ascending order, each
+    once. ``brute_force_factor_search`` charges every budget but the
+    deadline, which is checked here.
     """
 
     def __init__(self, p: Polynomial, cap: int, deadline: float) -> None:
         self.p, self.q, self.deadline = p, p.field.p, deadline
-        # first: it bounds q, for the sieve's field and the filter lines' int64 products
-        _check_table(self.q, 1)
-        # and the filter lines' int64 restrictions of p bound its degree
         deg = p.degree()
-        size = _LINES * (deg + 1) * 8
-        if size > _MAX_TABLE_BYTES:
-            raise _Refused(
-                f"filter lines of {size} bytes for input degree {deg} exceed budget "
-                f"{_MAX_TABLE_BYTES}"
-            )
         self.open = _open_degrees(p, cap, deadline)
         self.last = max(self.open, default=0)
         if not self.open:
@@ -372,7 +355,7 @@ class _Search:
         the sieve closed yields nothing; only its tables are built.
         """
         p, q = self.p, self.q
-        size = _check_table(q, d)
+        size = q ** (d + 1)
         if d > self.last:
             return
         # as many lines as the budget holds; with none, one that passes everything
@@ -464,8 +447,21 @@ def brute_force_factor_search(
         for d in range(1, degree_cap + 1):
             _check_deadline(deadline)
             work += (q ** comb(p.arity + d - 1, d) - 1) // (q - 1)
-            _check_candidates(work, d, budget)
+            _check_candidates(work, d)
+            # one line's accept table; at d = 1 it bounds q, for the sieve's
+            # field and the filter lines' int64 products
+            if (size := q ** (d + 1)) > _MAX_TABLE_BYTES:
+                raise _Refused(
+                    f"accept table of {size} bytes for degree {d} exceeds budget {_MAX_TABLE_BYTES}"
+                )
             if d == 1:
+                # the filter lines' int64 restrictions bound the degree of p,
+                # and so of its leading form: one check before either search
+                if (size := _LINES * (deg + 1) * 8) > _MAX_TABLE_BYTES:
+                    raise _Refused(
+                        f"filter lines of {size} bytes for input degree {deg} exceed budget "
+                        f"{_MAX_TABLE_BYTES}"
+                    )
                 # leading forms multiply, so a divisor's degree-d form divides p's
                 # leading form: an inhomogeneous p needs only the runs of those
                 # forms, and no degree past the last one its sieve leaves open
@@ -478,7 +474,7 @@ def brute_force_factor_search(
             runs = None if leading is None else [index for index, _ in leading.divisors(d)]
             if runs is not None:
                 work += len(runs) * q ** comb(p.arity + d - 1, p.arity)
-                _check_candidates(work, d, budget)
+                _check_candidates(work, d)
             for _, found in search.divisors(d, runs):
                 return found
     except _Refused as refused:

@@ -229,11 +229,10 @@ class Polynomial:
         return Polynomial(field, len(coeffs), store)
 
     @staticmethod
-    def variable(field: FieldSpec, arity: int, i: int, power: int = 1) -> "Polynomial":
+    def variable(field: FieldSpec, arity: int, i: int) -> "Polynomial":
         if not 0 <= i < arity:
             raise ValueError(f"variable index {i} out of range for arity {arity}")
-        key = _monomial_key(i, power) if power else _ONE
-        return Polynomial(field, arity, {key: field.one().value})
+        return Polynomial(field, arity, {_monomial_key(i, 1): field.one().value})
 
     # -- basic queries --------------------------------------------------------
 

@@ -302,6 +302,7 @@ class TestOracleCommand:
     def test_empty_vars_is_usage_error(self, capsys):
         argv = ["oracle", "--poly", "x+1", "--field", "5", "--vars", ""]
         assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: variable name '' is not an identifier\n"
 
     @pytest.mark.parametrize("names, bad", [("x,", ""), ("x,1", "1"), ("x, y", " y")])
     def test_variable_name_must_be_an_identifier(self, capsys, names, bad):

@@ -334,7 +334,7 @@ KERNEL_FIELDS = [Q, CYCLOTOMIC, prime_field(3), prime_field(5), prime_field(7), 
 def reference_families(field, n):
     """(name, determinant, edge images as Polynomials) for every family at n."""
     ring = CayleyMengerRing(n)
-    edges = {(i, j): Polynomial.variable(field, ring.arity, ring.position(i, j), 2)
+    edges = {(i, j): Polynomial.variable(field, ring.arity, ring.position(i, j)) ** 2
              for i, j in ring.pairs()}
     yield "cayley-menger", lambda: cayley_menger(n, field), ring.arity, edges
     xs = variables(field, n + 1)

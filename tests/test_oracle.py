@@ -72,10 +72,9 @@ class TestBruteForceSearch:
         )
         assert isinstance(outcome, BudgetExceeded)
 
-    def test_candidate_space_budget(self):
-        outcome = brute_force_factor_search(
-            build_g(GParams.of(F5, 3, 1, 1)), SearchBudget(max_candidates=1000)
-        )
+    def test_candidate_space_budget(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_CANDIDATES", 1000)
+        outcome = brute_force_factor_search(build_g(GParams.of(F5, 3, 1, 1)))
         assert isinstance(outcome, BudgetExceeded)
 
     def test_degree_cap_found_versus_exhausted(self):
@@ -86,21 +85,24 @@ class TestBruteForceSearch:
         capped = brute_force_factor_search(build_f(F5, 3, 3), SearchBudget(max_degree=1))
         assert isinstance(capped, BudgetExceeded)  # linear space exhausted, not the full one
 
-    def test_candidate_budget_counts_leading_form_runs(self):
+    def test_candidate_budget_counts_leading_form_runs(self, monkeypatch):
         # over F_13 the forms of degree 1 and 2 number 183 + 402,234; the
         # leading form (x^2 + y^2 + z^2)^2 has one quadratic divisor, whose
         # run holds 13^4 candidates, and no linear one
         p = build_g(GParams.of(prime_field(13), 3, 1, 0))
-        assert brute_force_factor_search(p, SearchBudget(max_candidates=430977)) == (
+        monkeypatch.setattr(oracle, "_MAX_CANDIDATES", 430977)
+        assert brute_force_factor_search(p) == (
             BudgetExceeded("candidate space through degree 2 exceeds budget 430977")
         )
-        outcome = brute_force_factor_search(p, SearchBudget(max_candidates=430978))
+        monkeypatch.setattr(oracle, "_MAX_CANDIDATES", 430978)
+        outcome = brute_force_factor_search(p)
         assert outcome.factor * outcome.factor == p
 
-    def test_candidate_budget_charged_degree_by_degree(self):
+    def test_candidate_budget_charged_degree_by_degree(self, monkeypatch):
         # the 31 linear forms over F_5 fit the budget and hold x + y + z;
         # the 3,906 quadratic ones would not, but are never reached
-        outcome = brute_force_factor_search(build_f(F5, 3, 2), SearchBudget(max_candidates=100))
+        monkeypatch.setattr(oracle, "_MAX_CANDIDATES", 100)
+        outcome = brute_force_factor_search(build_f(F5, 3, 2))
         assert isinstance(outcome, FactorFound)
         assert poly_to_text(outcome.factor, ["x", "y", "z"]) == "x + y + z"
 
@@ -108,7 +110,8 @@ class TestBruteForceSearch:
         # the charge comes first: a refused input gets no filter lines
         searches, search = [], oracle._Search
         monkeypatch.setattr(oracle, "_Search", lambda *args: searches.append(args) or search(*args))
-        outcome = brute_force_factor_search(build_f(F5, 3, 2), SearchBudget(max_candidates=30))
+        monkeypatch.setattr(oracle, "_MAX_CANDIDATES", 30)
+        outcome = brute_force_factor_search(build_f(F5, 3, 2))
         assert outcome == BudgetExceeded("candidate space through degree 1 exceeds budget 30")
         assert searches == []
 
@@ -323,25 +326,31 @@ class TestBruteForceSearch:
         outcome = brute_force_factor_search(f * g, SearchBudget(homogeneous_only=True))
         assert outcome == FactorFound(g, f)
 
-    def test_table_budget_checked_before_filter_lines(self, small_arrays):
+    def test_table_budget_checked_before_filter_lines(self, small_arrays, monkeypatch):
         # over F_1000003 the degree-1 table alone exceeds the budget, and the
-        # refusal comes before any filter line is restricted
+        # refusal comes before any search is built, so before any filter line
+        searches, search = [], oracle._Search
+        monkeypatch.setattr(oracle, "_Search", lambda *args: searches.append(args) or search(*args))
         q = 1000003
         p = parse_polynomial("x^2+y^2", prime_field(q), 2, ["x", "y"])
         outcome = brute_force_factor_search(p)
         assert outcome == BudgetExceeded(
             f"accept table of {q**2} bytes for degree 1 exceeds budget 8388608"
         )
+        assert searches == []
 
-    def test_filter_lines_are_budgeted(self, small_arrays):
+    def test_filter_lines_are_budgeted(self, small_arrays, monkeypatch):
         # the eight filter lines' int64 restrictions of x^2000000 + 1 would be
-        # 128 MB: refused before the sieve or _filter_lines allocates them
+        # 128 MB: refused once per input, before any search is built
+        searches, search = [], oracle._Search
+        monkeypatch.setattr(oracle, "_Search", lambda *args: searches.append(args) or search(*args))
         p = parse_polynomial("x^2000000+1", F3, 1, ["x"])
         size = oracle._LINES * 2000001 * 8
         assert brute_force_factor_search(p) == BudgetExceeded(
             f"filter lines of {size} bytes for input degree 2000000 exceed budget "
             f"{oracle._MAX_TABLE_BYTES}"
         )
+        assert searches == []
 
     def test_filter_lines_hold_no_table_of_q_rows(self, small_arrays):
         # every residue's powers up to the input degree would be 2003 * 20001

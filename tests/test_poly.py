@@ -155,7 +155,7 @@ class TestDiagonal:
             coeffs = [random_element(any_field, rng) for _ in range(4)]
             expected = Polynomial.constant(any_field, 4, const)
             for i, c in enumerate(coeffs):
-                expected = expected + Polynomial.variable(any_field, 4, i, power).scale(c)
+                expected = expected + (Polynomial.variable(any_field, 4, i) ** power).scale(c)
             assert Polynomial.diagonal(any_field, const, coeffs, power) == expected
 
     def test_zero_coefficients_dropped(self, any_field):
