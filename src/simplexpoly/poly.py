@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
+from contextlib import suppress
 from dataclasses import dataclass, field as dataclass_field
 from functools import partial
 from itertools import compress
@@ -460,19 +461,26 @@ def poly_to_text(p: Polynomial, names: Optional[Sequence[str]] = None) -> str:
     if p.is_zero():
         return "0"
     signed = coefficient_texts(p.field, _signed_text)
-    factor = _Memo(
-        lambda ve: names[-ve[0]] if ve[1] == 1 else f"{names[-ve[0]]}^{ve[1]}"
-    ).__getitem__
+    # ft[v][e] is the text of x_v^e; a key stores -v, hence ft[-key[i]][key[i + 1]]
+    ft = [_Memo(lambda e, name=name: name if e == 1 else f"{name}^{e}") for name in names]
+    # keys of three or more variables look their (-v, e) pairs up whole, so the join maps in C
+    factor = _Memo(lambda ve: ft[-ve[0]][ve[1]]).__getitem__
     pieces = []
     store = p._store
     for key in sorted(store, reverse=True):  # sorting keys is cheaper than sorting items
         sep, mag, lead = signed(store[key])
-        if len(key) == 1:
-            pieces += (sep, mag)
-            continue
-        pairs = iter(key[1:])
-        pieces += (sep, lead + "*".join(map(factor, zip(pairs, pairs))))
-    pieces[0] = "-" if pieces[0] == " - " else ""
+        n = len(key)
+        if n > 5:  # tested first, so that a determinant's long terms pay one test
+            pairs = iter(key[1:])
+            pieces += (sep, lead + "*".join(map(factor, zip(pairs, pairs))))
+        elif n == 5:
+            pieces.append(f"{sep}{lead}{ft[-key[1]][key[2]]}*{ft[-key[3]][key[4]]}")
+        elif n == 3:
+            pieces.append(f"{sep}{lead}{ft[-key[1]][key[2]]}")
+        else:
+            pieces.append(sep + mag)
+    first = pieces[0]  # starts with " + " or " - "
+    pieces[0] = first[3:] if first[1] == "+" else "-" + first[3:]
     return "".join(pieces)
 
 
@@ -521,12 +529,17 @@ def parse_polynomial(
             m = _FACTOR.match(factor)
             if m and m.group(1) in index:
                 exps[index[m.group(1)]] += int(m.group(2) or 1)
-            elif m and not (field.kind == CYCLOTOMIC_KIND and m.group(1) == "w"):
+                continue
+            # a name other than w over Q(w) is no literal; a well-formed literal
+            # keeps its own error, such as a zero denominator
+            value = None
+            if not m or (field.kind == CYCLOTOMIC_KIND and m.group(1) == "w"):
+                literal = factor[1:-1] if factor.startswith("(") and factor.endswith(")") else factor
+                with suppress(ValueError):
+                    value = parse_element(field, literal)
+            if value is None:
                 raise ValueError(f"unknown factor {factor!r}: the variables are {', '.join(index)}")
-            elif factor.startswith("(") and factor.endswith(")"):
-                coeff = coeff * parse_element(field, factor[1:-1])
-            else:
-                coeff = coeff * parse_element(field, factor)
+            coeff = coeff * value
         if negative:
             coeff = -coeff
         _accumulate(terms, [(_key(exps), coeff.value)], field.ops)

@@ -304,6 +304,12 @@ class TestOracleCommand:
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == "usage error: variable name '' is not an identifier\n"
 
+    def test_factor_neither_variable_nor_literal_is_usage_error(self, capsys):
+        argv = ["oracle", "--poly", "(x+y)^2", "--field", "5", "--vars", "x,y"]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "usage error: unknown factor '(x+y)^2': the variables are x, y\n"
+
     @pytest.mark.parametrize("names, bad", [("x,", ""), ("x,1", "1"), ("x, y", " y")])
     def test_variable_name_must_be_an_identifier(self, capsys, names, bad):
         # "1" would render as the constant 1, and "" or " y" could never be parsed

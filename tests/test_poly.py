@@ -6,6 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
+from simplexpoly.family import GParams, build_g
 from simplexpoly.field import CYCLOTOMIC, RATIONAL, FieldElement, prime_field
 from simplexpoly.poly import (
     Polynomial,
@@ -51,7 +52,25 @@ MALFORMED = {
     "x^2+z": "unknown factor 'z': the variables are x, y",
     "w*x": "unknown factor 'w': the variables are x, y",
     "x*nan^2": "unknown factor 'nan^2'",
+    "(x+y)^2": "unknown factor '(x+y)^2': the variables are x, y",
+    "(x+y)*x": "unknown factor '(x+y)': the variables are x, y",
+    "x^-1": "unknown factor 'x^': the variables are x, y",
+    "2*x^": "unknown factor 'x^': the variables are x, y",
+    "()*x": "unknown factor '()': the variables are x, y",
 }
+# g at these (field, m, a, t) has terms in 0, 1 and 2 variables, default names
+# up to x40, and negative (t = 3) and mixed Q(w) (t = 2 - w) coefficients
+G_TEXT_CASES = [
+    (field, m, a, t)
+    for field, ts in [
+        (Q, (0, 1, 3)),
+        (prime_field(101), (0, 1, 3)),
+        (CYCLOTOMIC, (0, 1, 3, CYCLOTOMIC.omega_element(2, -1))),
+    ]
+    for m in (3, 12, 40)
+    for a in (0, 1)
+    for t in ts
+]
 
 
 def variables(field, arity):
@@ -454,6 +473,24 @@ class TestTextFormat:
         with pytest.raises(ValueError, match=re.escape(MALFORMED[text])):
             parse_polynomial(text, Q, 2, ["x", "y"])
 
+    @pytest.mark.parametrize("field", [F5, CYCLOTOMIC], ids=str)
+    @pytest.mark.parametrize("text, factor", [("(x+y)^2", "(x+y)^2"), ("x^-1", "x^"), ("2*x^", "x^")])
+    def test_malformed_factor_named_in_every_field(self, field, text, factor):
+        # the whole factor is named, not the piece of it a literal parser failed on
+        with pytest.raises(ValueError) as raised:
+            parse_polynomial(text, field, 2, ["x", "y"])
+        assert str(raised.value) == f"unknown factor {factor!r}: the variables are x, y"
+
+    @pytest.mark.parametrize(
+        "field, text, error",
+        [(Q, "1/0*x", "zero denominator in '1/0'"), (F5, "x + 2/0", "zero denominator in '2/0'"),
+         (prime_field(7), "1/7*y", "denominator of 1/7 vanishes mod 7")],
+        ids=str,
+    )
+    def test_well_formed_literal_keeps_its_error(self, field, text, error):
+        with pytest.raises(ZeroDivisionError, match=re.escape(error)):
+            parse_polynomial(text, field, 2, ["x", "y"])
+
     def test_w_is_a_literal_over_q_w_only(self):
         x, y = variables(CYCLOTOMIC, 2)
         w = CYCLOTOMIC.omega_element(0, 1)
@@ -473,6 +510,30 @@ class TestTextFormat:
     def test_matches_reference_renderer(self, case):
         p, names = case
         assert poly_to_text(p, names) == reference_poly_to_text(p, names)
+
+    @pytest.mark.parametrize("field, m, a, t", G_TEXT_CASES, ids=str)
+    def test_g_matches_reference_renderer(self, field, m, a, t):
+        g = build_g(GParams.of(field, m, a, t))
+        text = poly_to_text(g)
+        assert text == reference_poly_to_text(g)
+        assert parse_polynomial(text, field, m) == g
+
+    @pytest.mark.parametrize("field", [Q, prime_field(101), CYCLOTOMIC], ids=str)
+    def test_long_keys_and_large_exponents_match_reference(self, field):
+        # hypothesis draws at most four variables and exponents up to 3
+        names = ["alpha", "b2", "c_d", "z", "u", "T"]
+        mixed = CYCLOTOMIC.omega_element(1, -2) if field == CYCLOTOMIC else field.from_int(-4)
+        p = Polynomial.from_terms(field, 6, {
+            (12, 10, 1, 3, 11, 0): field.coerce(Fraction(-7, 3)),
+            (1, 1, 1, 1, 1, 1): field.from_int(2),
+            (0, 15, 0, 0, 0, 0): field.one(),
+            (0, 0, 10, 0, 0, 13): mixed,
+            (1, 0, 0, 0, 0, 10): -field.one(),
+            (0, 0, 0, 0, 0, 0): field.from_int(5),
+        })
+        text = poly_to_text(p, names)
+        assert text == reference_poly_to_text(p, names)
+        assert parse_polynomial(text, field, 6, names) == p
 
     @pytest.mark.parametrize(
         "field, build, names, expected",
