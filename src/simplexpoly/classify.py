@@ -22,9 +22,11 @@ from .field import (
     FieldElement,
     FieldSpec,
     RATIONAL,
+    as_integer,
     element_to_text,
     is_square,
     primitive_cube_root,
+    residue,
 )
 from .family import CayleyMengerRing, GParams, InternalCheckError, build_g, cayley_menger
 from .poly import Polynomial, poly_to_text
@@ -89,7 +91,7 @@ _VERDICT_NAMES = {
 class Char2GParams:
     """Family parameters over an unspecified characteristic-2 field.
 
-    a and t are integer literals; only their images mod 2 are meaningful.
+    a and t are integers, as ``as_integer`` takes them; only their images mod 2 are meaningful.
     """
 
     m: int
@@ -110,9 +112,9 @@ def _mod_2(p: Polynomial) -> Optional[Polynomial]:
 
     None when a coefficient has an even denominator and so no residue.
     """
-    try:  # the residue of n/d is n * d^-1 mod 2, and pow refuses an even d
-        return p.map_coefficients(lambda c: c.numerator * pow(c.denominator, -1, 2) % 2)
-    except ValueError:
+    try:
+        return p.map_coefficients(lambda c: residue(c, 2))
+    except ZeroDivisionError:
         return None
 
 
@@ -218,7 +220,7 @@ def classify_diagonal_quadratic(
     m = len(coeffs) - 1
 
     if isinstance(field, Char2Token):
-        ints = [int(c) for c in coeffs]
+        ints = [as_integer(c) for c in coeffs]
         if any(c % 2 == 0 for c in ints[1:]):
             raise ValueError("a square coefficient vanishes in characteristic 2")
         t0 = ints[0] % 2
@@ -273,7 +275,7 @@ def _heron_factors(x: Polynomial, y: Polynomial, z: Polynomial) -> List[Tuple[Po
 
 
 def _classify_g_char2(params: Char2GParams) -> Verdict:
-    a, t, m = params.a % 2, params.t % 2, params.m
+    a, t, m = as_integer(params.a) % 2, as_integer(params.t) % 2, params.m
     if t == 1:
         rule = ClassificationRule(
             "Char2Collapse", {"char": "2", "t": "1", "m": str(m)}

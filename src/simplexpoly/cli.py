@@ -35,7 +35,7 @@ from .family import (
     prekite_reduction,
     special_family_substitution,
 )
-from .field import CHAR2, Char2Token, FieldSpec, RATIONAL, CYCLOTOMIC, prime_field
+from .field import CHAR2, Char2Token, FieldSpec, RATIONAL, CYCLOTOMIC, as_integer, prime_field
 from .geometry import (
     quadruple_residual,
     random_affine_weights,
@@ -96,12 +96,10 @@ def parse_field(text: str) -> Union[FieldSpec, Char2Token]:
         return CHAR2
     if lowered.startswith("f"):
         t = t[1:]
+    if not (t.isascii() and t.isdigit()):
+        raise UsageError(f"unknown field {text!r}")
     try:
-        p = int(t)
-    except ValueError:
-        raise UsageError(f"unknown field {text!r}") from None
-    try:
-        return prime_field(p)
+        return prime_field(int(t))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -175,7 +173,7 @@ def cmd_classify(args: argparse.Namespace) -> Dict[str, object]:
         check_g_size(args.m)
         if isinstance(field, Char2Token):
             try:
-                a, t = int(args.a), int(args.t)
+                a, t = as_integer(args.a), as_integer(args.t)
             except ValueError:
                 raise UsageError(
                     f"char2 takes integer literals for --a and --t, got {args.a!r} and {args.t!r}"
@@ -264,18 +262,21 @@ def _emit(args: argparse.Namespace, payload: Dict[str, object], started: float) 
     """Print the report of one subcommand: JSON, or a readable view with --pretty."""
     hidden = ("func", "pretty", "timing")
     inputs = {k: v for k, v in sorted(vars(args).items()) if k not in hidden and v is not None}
+    timing = round(time.monotonic() - started, 6) if args.timing else None
     try:
         if args.pretty:
             print(f"# {args.subcommand} (simplexpoly {__version__})")
             for key, value in inputs.items():
                 print(f"  {key} = {value}")
+            if timing is not None:
+                print(f"  timing_s = {timing}")
             print(json.dumps(payload, indent=2, sort_keys=True))
         else:
             report = {
                 "subcommand": args.subcommand,
                 "inputs": inputs,
                 "payload": payload,
-                "timing_s": round(time.monotonic() - started, 6) if args.timing else None,
+                "timing_s": timing,
                 "version": __version__,
             }
             print(json.dumps(report, sort_keys=True))

@@ -151,9 +151,7 @@ class FieldSpec:
         if self.kind != PRIME_KIND:
             q = Fraction(q)
             return FieldElement(self, q if self.kind == RATIONAL_KIND else (q, 0))
-        if q.denominator % self.p == 0:
-            raise ZeroDivisionError(f"denominator of {q} vanishes mod {self.p}")
-        return FieldElement(self, q.numerator * pow(q.denominator, -1, self.p))
+        return FieldElement(self, residue(q, self.p))
 
     def omega_element(self, r: Fraction, s: Fraction) -> "FieldElement":
         """The element r + s*w of Q(w)."""
@@ -354,10 +352,7 @@ def primitive_cube_root(spec: FieldSpec) -> Optional[FieldElement]:
     if spec.kind == PRIME_KIND and spec.p % 3 == 1:
         rt = _sqrt_mod_p(-3 % spec.p, spec.p)
         assert rt is not None  # -3 is a residue whenever p = 1 (mod 3)
-        inv2 = pow(2, -1, spec.p)
-        r1 = (rt - 1) * inv2 % spec.p
-        r2 = (-rt - 1) * inv2 % spec.p
-        return FieldElement(spec, min(r1, r2))
+        return FieldElement(spec, min(residue(Fraction(-1 + r, 2), spec.p) for r in (rt, -rt)))
     return None
 
 
@@ -383,38 +378,51 @@ def element_to_text(a: FieldElement) -> str:
     return f"{r}{sign}{w_part}"
 
 
-_CYC_TERM = re.compile(r"([+-]?[^+-]*)")
+# The one grammar of number literals. A number is ASCII digits with an optional sign
+# and an optional /denominator. A Q(w) literal is a number r, then s*w, where s and
+# its * are optional and s carries a sign when r is given (the conditional (?(r)...));
+# (?=.) refuses the empty text, which would otherwise match with neither part.
+_NUMBER = r"[0-9]+(?:/[0-9]+)?"
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_LITERAL = re.compile(
+    rf"(?=.)(?P<r>[+-]?{_NUMBER})?(?:(?P<sign>(?(r)[+-]|[+-]?))(?:(?P<s>{_NUMBER})\*)?w)?"
+)
 
 
-def _fraction(term: str, text: str) -> Fraction:
-    """The rational term of the literal text."""
+def literal_value(spec: FieldSpec, text: str) -> Optional[FieldElement]:
+    """The element of spec that text spells, or None when text is no literal of spec;
+    a zero denominator, or over F_p one that p divides, raises ZeroDivisionError."""
+    m = _LITERAL.fullmatch(text)
+    if m is None or (m["sign"] is not None and spec.kind != CYCLOTOMIC_KIND):
+        return None
     try:
-        return Fraction(term)
+        r, s = Fraction(m["r"] or 0), Fraction(m["s"] or 1)
     except ZeroDivisionError:
         raise ZeroDivisionError(f"zero denominator in {text!r}") from None
+    if m["sign"] is None:
+        return spec.from_fraction(r)
+    return FieldElement(spec, (r, -s if m["sign"] == "-" else s))
 
 
 def parse_element(spec: FieldSpec, text: str) -> FieldElement:
     """Parse a field literal: '5/6' over Q, '3' over F_p, '1+2*w' over Q(w)."""
-    text = text.strip().replace(" ", "")
-    if not text:
-        raise ValueError("empty field literal")
-    if spec.kind == PRIME_KIND and "/" not in text:
-        return spec.from_int(int(text))
-    if spec.kind != CYCLOTOMIC_KIND:
-        return spec.from_fraction(_fraction(text, text))
-    r, s = Fraction(0), Fraction(0)
-    for term in _CYC_TERM.findall(text):
-        if not term:
-            continue
-        if term.endswith("w"):
-            body = term[:-1].rstrip("*")
-            if body in ("", "+"):
-                s += 1
-            elif body == "-":
-                s -= 1
-            else:
-                s += _fraction(body, text)
-        else:
-            r += _fraction(term, text)
-    return FieldElement(spec, (r, s))
+    value = literal_value(spec, text.strip().replace(" ", ""))
+    if value is None:
+        raise ValueError(f"{text!r} is not a literal of {spec}")
+    return value
+
+
+def as_integer(x: Union[int, Fraction, str]) -> int:
+    """x as an int: an int, an integral Fraction, or an integer literal (no denominator)."""
+    if isinstance(x, (int, Fraction)) and x.denominator == 1 or (
+        isinstance(x, str) and _INTEGER.fullmatch(x.strip())
+    ):
+        return int(x)
+    raise ValueError(f"{x!r} is not an integer")
+
+
+def residue(x: Union[int, Fraction], p: int) -> int:
+    """The image n * d^-1 mod p of the rational x = n/d."""
+    if x.denominator % p == 0:
+        raise ZeroDivisionError(f"denominator of {x} vanishes mod {p}")
+    return x.numerator * pow(x.denominator, -1, p) % p

@@ -39,6 +39,11 @@ class RegularSimplex:
         v = self.vertices
         if v.shape != (self.n + 1, self.n + 1):
             raise ValueError("expected n+1 vertices in R^{n+1}")
+        if not math.isfinite(self.edge):
+            raise ValueError(f"edge {self.edge} is not finite")
+        if not np.isfinite(v).all():
+            i, j = np.argwhere(~np.isfinite(v))[0]
+            raise ValueError(f"vertex {i} has coordinate {j} = {v[i, j]}, which is not finite")
         # each squared edge |u_i - u_j|^2 = G_ii + G_jj - 2 G_ij from the Gram matrix G
         # of u = v - v[0]: (n+1)^2 floats, not the (n+1)^3 of all pairwise differences
         u = v - v[0]
@@ -67,8 +72,6 @@ def regular_simplex(n: int, a: float) -> RegularSimplex:
     """Scaled-standard-basis embedding: vertex i is (a/sqrt(2)) e_i."""
     if n < 2:
         raise ValueError(f"simplex dimension must be at least 2, got {n}")
-    if not (a > 0 and math.isfinite(a)):
-        raise ValueError(f"edge length must be positive and finite, got {a}")
     if not _LENGTHS[0] <= a <= _LENGTHS[1]:
         raise ValueError(f"edge length must lie in [{_LENGTHS[0]:g}, {_LENGTHS[1]:g}], got {a}")
     vertices = (a / math.sqrt(2.0)) * np.eye(n + 1)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from contextlib import suppress
 from dataclasses import dataclass, field as dataclass_field
 from functools import partial
 from itertools import compress
@@ -35,7 +34,7 @@ from .field import (
     FieldSpec,
     PayloadOps,
     element_to_text,
-    parse_element,
+    literal_value,
 )
 
 Monomial = Tuple[int, ...]
@@ -426,7 +425,7 @@ class Polynomial:
 # parenthesized so the term split stays unambiguous; the bare symbol w always
 # denotes the cube root of unity, never a variable.
 
-_FACTOR = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?$")
+_FACTOR = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^([0-9]+))?$")
 
 
 def _checked_names(
@@ -530,13 +529,8 @@ def parse_polynomial(
             if m and m.group(1) in index:
                 exps[index[m.group(1)]] += int(m.group(2) or 1)
                 continue
-            # a name other than w over Q(w) is no literal; a well-formed literal
-            # keeps its own error, such as a zero denominator
-            value = None
-            if not m or (field.kind == CYCLOTOMIC_KIND and m.group(1) == "w"):
-                literal = factor[1:-1] if factor.startswith("(") and factor.endswith(")") else factor
-                with suppress(ValueError):
-                    value = parse_element(field, literal)
+            literal = factor[1:-1] if factor.startswith("(") and factor.endswith(")") else factor
+            value = literal_value(field, literal)
             if value is None:
                 raise ValueError(f"unknown factor {factor!r}: the variables are {', '.join(index)}")
             coeff = coeff * value

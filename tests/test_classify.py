@@ -120,6 +120,16 @@ class TestDiagonalQuadratic:
         with pytest.raises(ValueError):
             classify_diagonal_quadratic(CHAR2, [1, 2, 1])
 
+    @pytest.mark.parametrize("c0", [Fraction(1, 2), 1.5, "1_1", "4/2"], ids=repr)
+    def test_char2_non_integer_coefficient_refused(self, c0):
+        # 1/2 and 1.5 were truncated to 0 and 1, and "1_1" read as 11, then certified
+        with pytest.raises(ValueError, match="is not an integer"):
+            classify_diagonal_quadratic(CHAR2, [c0, 1, 1])
+
+    def test_char2_integral_fraction_and_literal_accepted(self):
+        v = classify_diagonal_quadratic(CHAR2, [Fraction(4, 2), " -3 ", 1])
+        assert v.input == classify_diagonal_quadratic(CHAR2, [0, 1, 1]).input
+
     def test_brute_force_agreement_small(self):
         # every coefficient tuple over F_3, m <= 2; the oracle sees the same answer
         from simplexpoly.oracle import FactorFound, brute_force_factor_search
@@ -253,6 +263,12 @@ class TestClassifyG:
     def test_char2_m_guard(self):
         with pytest.raises(ValueError):
             Char2GParams(2, 0, 0)
+
+    def test_char2_non_integer_parameter_is_an_input_error(self):
+        # before, a = 1/2 reached the certificate, whose product check failed
+        with pytest.raises(ValueError, match="Fraction\\(1, 2\\) is not an integer"):
+            classify_g(Char2GParams(3, Fraction(1, 2), 0))
+        assert classify_g(Char2GParams(3, Fraction(6, 2), "+4")) == classify_g(Char2GParams(3, 1, 0))
 
 
 class TestCayleyMengerClassification:

@@ -46,6 +46,12 @@ class TestFieldParsing:
         assert parse_field("13") == prime_field(13)
         assert parse_field("char2") is CHAR2
 
+    @pytest.mark.parametrize("text", ["F1_01", "1_01", "F\u0661\u0660\u0661", "F+101", "F 101"])
+    def test_modulus_is_ascii_digits(self, capsys, text):
+        # int() read each of these as 101
+        assert main(["classify", "--field", text, "--m", "3", "--a", "0", "--t", "2"]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: unknown field {text!r}\n"
+
 
 class TestClassifyCommand:
     def test_heron(self, capsys):
@@ -71,11 +77,19 @@ class TestClassifyCommand:
         assert code == EXIT_OK
         assert report["payload"]["verdict"] == "zero-polynomial"
 
-    @pytest.mark.parametrize("a, t", [("1/2", "0"), ("1", "w")])
+    @pytest.mark.parametrize("a, t", [("1/2", "0"), ("1", "w"), ("1_1", "0")])
     def test_char2_non_integer_literal_is_usage_error(self, capsys, a, t):
         assert main(["classify", "--field", "char2", "--m", "3", "--a", a, "--t", t]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("usage error: char2 takes integer literals for --a and --t")
+
+    @pytest.mark.parametrize(
+        "field, a", [("Q", "1e3"), ("Q", "1.5"), ("5", "1_0"), ("Qw", "w+1"), ("Qw", "1+1")]
+    )
+    def test_literal_outside_the_grammar_is_usage_error(self, capsys, field, a):
+        # Q read 1e3 as 1000 and 1.5 as 3/2, F_5 read 1_0 as 10, Q(w) summed its terms
+        assert main(["classify", "--field", field, "--m", "3", "--a", a, "--t", "2"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"usage error: {a!r} is not a literal of ")
 
     @pytest.mark.parametrize("field, a", [("Q", "1/0"), ("Qw", "1/0*w"), ("5", "2/0")])
     def test_zero_denominator_is_usage_error(self, capsys, field, a):
@@ -566,6 +580,13 @@ class TestReportShape:
     def test_timing_flag(self, capsys):
         code, report = run_json(capsys, "diophantine", "--bound", "5", "--timing")
         assert isinstance(report["timing_s"], float)
+
+    def test_pretty_timing_follows_the_inputs(self, capsys):
+        code, out = run(capsys, "diophantine", "--bound", "5", "--pretty", "--timing")
+        lines = out.splitlines()
+        key, value = lines[lines.index("{") - 1].split(" = ")
+        assert code == EXIT_OK and key == "  timing_s" and float(value) >= 0
+        assert "timing_s" not in run(capsys, "diophantine", "--bound", "5", "--pretty")[1]
 
     def test_pretty_output_is_not_json(self, capsys):
         code, out = run(capsys, "classify", "--field", "Q", "--m", "3", "--a", "0",

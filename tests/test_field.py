@@ -18,6 +18,7 @@ from simplexpoly.field import (
     parse_element,
     prime_field,
     primitive_cube_root,
+    residue,
 )
 from simplexpoly.poly import Polynomial
 
@@ -344,3 +345,35 @@ class TestLiterals:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             parse_element(RATIONAL, "  ")
+
+    @pytest.mark.parametrize("spec", [RATIONAL, prime_field(5), CYCLOTOMIC], ids=repr)
+    @pytest.mark.parametrize(
+        "text", ["1e3", "1.5", "1_0", "\u0661", "0x1", "2w", "w+1", "1+1", "w+w", "1+2*w+w", "*w", "+"]
+    )
+    def test_forms_outside_the_grammar_refused(self, spec, text):
+        with pytest.raises(ValueError) as raised:
+            parse_element(spec, text)
+        assert str(raised.value) == f"{text!r} is not a literal of {spec!r}"
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("+3/4", (Fraction(3, 4), 0)), ("-w", (0, -1)), ("+w", (0, 1)), ("1*w", (0, 1)),
+         ("007-2/4*w", (7, Fraction(-1, 2))), ("-0+0*w", (0, 0))],
+    )
+    def test_cyclotomic_forms(self, text, value):
+        assert parse_element(CYCLOTOMIC, text) == FieldElement(CYCLOTOMIC, value)
+
+
+class TestResidue:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_solves_d_x_equals_n(self, p):
+        for n in range(-9, 10):
+            for d in range(1, 12):
+                if d % p:
+                    x = Fraction(n, d)  # n/d in lowest terms has the same residue
+                    assert [residue(x, p)] == [r for r in range(p) if (d * r - n) % p == 0]
+
+    def test_vanishing_denominator(self):
+        with pytest.raises(ZeroDivisionError, match="^denominator of 1/7 vanishes mod 7$"):
+            residue(Fraction(1, 7), 7)
+        assert residue(Fraction(7, 7), 7) == 1 and residue(-3, 5) == 2

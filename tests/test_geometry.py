@@ -59,6 +59,17 @@ class TestRegularSimplex:
         with pytest.raises(ValueError):
             RegularSimplex(3, 1.0, moved)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_edge_or_vertex_named(self, bad):
+        # a NaN distance passed the edge test, and the rank check then failed in the SVD
+        vertices = regular_simplex(3, 1.0).vertices
+        with pytest.raises(ValueError, match=f"^edge {bad} is not finite$"):
+            RegularSimplex(3, bad, vertices)
+        moved = vertices.copy()
+        moved[2, 1] = bad
+        with pytest.raises(ValueError, match=f"^vertex 2 has coordinate 1 = {bad}, which is not finite$"):
+            RegularSimplex(3, 1.0, moved)
+
 
 def _simplex_error(n, edge, vertices):
     try:

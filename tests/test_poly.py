@@ -57,6 +57,8 @@ MALFORMED = {
     "x^-1": "unknown factor 'x^': the variables are x, y",
     "2*x^": "unknown factor 'x^': the variables are x, y",
     "()*x": "unknown factor '()': the variables are x, y",
+    "1e3*x": "unknown factor '1e3': the variables are x, y",
+    "x^\u0661": "unknown factor 'x^\u0661': the variables are x, y",
 }
 # g at these (field, m, a, t) has terms in 0, 1 and 2 variables, default names
 # up to x40, and negative (t = 3) and mixed Q(w) (t = 2 - w) coefficients
