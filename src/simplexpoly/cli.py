@@ -79,6 +79,14 @@ def check_g_size(m: int) -> None:
         )
 
 
+def _integer(text: str) -> int:
+    """An integer option, read by the literal grammar: ASCII digits with an optional sign."""
+    try:
+        return as_integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
@@ -306,27 +314,27 @@ def build_parser() -> _Parser:
     c.add_argument("--family", required=True,
                    choices=["g", "f", "cayley-menger", "prekite", "special"])
     c.add_argument("--field", default="Q")
-    c.add_argument("--m", type=int)
+    c.add_argument("--m", type=_integer)
     c.add_argument("--a")
     c.add_argument("--t")
-    c.add_argument("--n", type=int)
+    c.add_argument("--n", type=_integer)
     c.add_argument("--rule", choices=[r.value for r in SubstitutionRule])
     c.set_defaults(func=cmd_construct)
 
     k = sub.add_parser("classify", help="decide reducibility, with certificate", parents=[common])
     k.add_argument("--field", required=True)
-    k.add_argument("--m", type=int)
+    k.add_argument("--m", type=_integer)
     k.add_argument("--a")
     k.add_argument("--t")
     k.add_argument("--cayley-menger", action="store_true")
-    k.add_argument("--n", type=int)
+    k.add_argument("--n", type=_integer)
     k.set_defaults(func=cmd_classify)
 
     o = sub.add_parser("oracle", help="brute-force factor search over F_p", parents=[common])
     o.add_argument("--poly", required=True)
-    o.add_argument("--field", type=int, required=True, help="odd prime modulus")
+    o.add_argument("--field", type=_integer, required=True, help="odd prime modulus")
     o.add_argument("--vars", required=True, help="comma-separated variable names")
-    o.add_argument("--max-degree", type=int)
+    o.add_argument("--max-degree", type=_integer)
     o.add_argument("--homogeneous", action="store_true")
     o.add_argument("--time-limit", type=float)
     o.set_defaults(func=cmd_oracle)
@@ -334,17 +342,17 @@ def build_parser() -> _Parser:
     g = sub.add_parser("geometry", help="verify the distance relation numerically")
     gsub = g.add_subparsers(dest="action", required=True)
     gv = gsub.add_parser("verify", parents=[common])
-    gv.add_argument("--n", type=int, required=True)
+    gv.add_argument("--n", type=_integer, required=True)
     gv.add_argument("--a", type=float, required=True)
-    gv.add_argument("--samples", type=int, default=100)
-    gv.add_argument("--seed", type=int, default=0)
+    gv.add_argument("--samples", type=_integer, default=100)
+    gv.add_argument("--seed", type=_integer, default=0)
     gv.set_defaults(func=cmd_geometry)
     gs = gsub.add_parser("solve", parents=[common])
     gs.add_argument("--known", required=True, help="three comma-separated values")
     gs.set_defaults(func=cmd_geometry)
 
     d = sub.add_parser("diophantine", help="enumerate integer solutions", parents=[common])
-    d.add_argument("--bound", type=int, required=True)
+    d.add_argument("--bound", type=_integer, required=True)
     d.add_argument("--primitive-only", action="store_true")
     d.add_argument("--report-realizability", action="store_true")
     d.set_defaults(func=cmd_diophantine)

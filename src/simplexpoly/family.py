@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Callable, ClassVar, Dict, List, Tuple
 
 from .field import RATIONAL, FieldElement, FieldSpec
-from .poly import _ONE, Polynomial, _monomial_key
+from .poly import _ONE, Polynomial, _monomial_key, _packed
 
 
 class InternalCheckError(RuntimeError):
@@ -172,9 +172,11 @@ def _bordered_determinant(
     edge entry edge(i, j) at (i, j) and (j, i) for 1 <= i < j <= n+1, each
     with integer coefficients in ``arity`` variables. It is expanded over Z
     by memoized cofactor (Laplace) expansion along the rows in order. Each
-    monomial is packed into one int, 8 bits per variable, so a monomial
-    product is one integer addition. The result is mapped into the field at
-    the end, dropping the terms that vanish there.
+    monomial is packed into one int, its degree in the top byte above one
+    byte per exponent (position 0 highest), so a monomial product is one
+    integer addition and int order is grlex. The result is mapped into the
+    field at the end, in descending grlex order, dropping the terms that
+    vanish there.
     """
     CayleyMengerRing(n)  # refuses n outside 2..max_n
     size = n + 2
@@ -184,9 +186,7 @@ def _bordered_determinant(
         for j in range(i + 1, size):
             image = edge(i, j)
             top = max([top] + [sum(powers.values()) for _, powers in image])
-            entries[i][j] = entries[j][i] = {
-                sum(e << 8 * v for v, e in powers.items()): c for c, powers in image
-            }
+            entries[i][j] = entries[j][i] = {_packed(arity, powers): c for c, powers in image}
     # a minor's term is a product of at most n+1 edge entries; past 255 an
     # exponent would carry into its neighbour's byte
     if (n + 1) * top > 255:
@@ -211,7 +211,8 @@ def _bordered_determinant(
                 for e1, c1 in entries[r][c].items():
                     c1 = -c1 if pos % 2 else c1
                     for e2, c2 in sub.items():
-                        result[e1 + e2] = get(e1 + e2, 0) + c1 * c2
+                        e = e1 + e2
+                        result[e] = get(e, 0) + c1 * c2
             result = {key: c for key, c in result.items() if c}
         memo[cols] = result
         return result

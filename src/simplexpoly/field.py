@@ -406,7 +406,7 @@ def literal_value(spec: FieldSpec, text: str) -> Optional[FieldElement]:
 
 def parse_element(spec: FieldSpec, text: str) -> FieldElement:
     """Parse a field literal: '5/6' over Q, '3' over F_p, '1+2*w' over Q(w)."""
-    value = literal_value(spec, text.strip().replace(" ", ""))
+    value = literal_value(spec, text.strip())
     if value is None:
         raise ValueError(f"{text!r} is not a literal of {spec}")
     return value

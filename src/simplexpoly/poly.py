@@ -68,6 +68,13 @@ def _key(exps: Sequence[int]) -> _Key:
     return tuple(key)
 
 
+def _packed(arity: int, powers: Mapping[int, int]) -> int:
+    """x_v^e over the (v, e) items of powers, packed as ``Polynomial.from_packed``
+    reads it: the degree in the top byte, then one byte per exponent, x_0's highest."""
+    exps = sum(e << 8 * (arity - 1 - v) for v, e in powers.items())
+    return sum(powers.values()) << 8 * arity | exps
+
+
 def _exps(key: _Key, arity: int) -> Monomial:
     exps = [0] * arity
     for i in range(1, len(key), 2):
@@ -194,18 +201,20 @@ class Polynomial:
     @staticmethod
     def from_packed(field: FieldSpec, arity: int, raw: Mapping[int, int]) -> "Polynomial":
         """Unchecked constructor from integer coefficients, mapped into the
-        field once per value, of monomials packed into ints, one byte per
-        exponent with the first position lowest; prunes zeros."""
-        # many monomials share their lower or their upper half of positions
+        field once per value, of monomials packed into ints: the total degree
+        in the top byte, then one byte per exponent with the first position
+        highest, so int order is grlex. Prunes zeros; the store is built in
+        descending grlex order."""
+        # many monomials share their first or their last half of positions
         # with others, so each half is decoded once
         low = (1 << 8 * (arity // 2)) - 1
-        high = ~low
-        halves = _Memo(lambda half: _key(half.to_bytes(arity, "little")))
+        high = ((1 << 8 * arity) - 1) ^ low
+        halves = _Memo(lambda half: _key(half.to_bytes(arity, "big")))
         images = {n: c.value for n in set(raw.values()) if not (c := field.from_int(n)).is_zero()}
         terms = {}
-        for packed, n in raw.items():
-            if n in images:
-                k1, k2 = halves[packed & low], halves[packed & high]
+        for packed in sorted(raw, reverse=True):
+            if (n := raw[packed]) in images:
+                k1, k2 = halves[packed & high], halves[packed & low]
                 terms[(k1[0] + k2[0],) + k1[1:] + k2[1:]] = images[n]
         return Polynomial(field, arity, terms)
 
@@ -271,12 +280,12 @@ class Polynomial:
 
     def terms_descending(self) -> Iterator[Tuple[Monomial, object]]:
         """(exponent tuple, coefficient payload) pairs, exponent tuples descending
-        lexicographically (not grlex): a key without its degree sorts so."""
+        lexicographically (not grlex): a key without its degree sorts so. Keys
+        of one degree sort so whole, and need no slice."""
         store = self._store
-        return (
-            (_exps(key, self.arity), store[key])
-            for key in sorted(store, key=itemgetter(slice(1, None)), reverse=True)
-        )
+        rest = None if self.is_homogeneous()[0] else itemgetter(slice(1, None))
+        keys = sorted(store, key=rest, reverse=True)
+        return ((_exps(key, self.arity), store[key]) for key in keys)
 
     def sparse_terms(self) -> List[Tuple[List[Tuple[int, int]], object]]:
         """([(variable, exponent), ...], payload) pairs read off the keys, in store order."""

@@ -53,6 +53,28 @@ class TestFieldParsing:
         assert capsys.readouterr().err == f"usage error: unknown field {text!r}\n"
 
 
+INTEGER_OPTIONS = [
+    ("--m", "1_0", ["classify", "--field", "Q", "--a", "0", "--t", "2"]),
+    ("--m", "\u0661\u0660", ["classify", "--field", "Q", "--a", "0", "--t", "2"]),
+    ("--m", "0_3", ["construct", "--family", "f", "--t", "2"]),
+    ("--n", "0_3", ["classify", "--field", "Q", "--cayley-menger"]),
+    ("--n", "0_3", ["construct", "--family", "cayley-menger"]),
+    ("--field", "1_01", ["oracle", "--vars", "x,y", "--poly", "x^2+y^2"]),
+    ("--max-degree", "0_1", ["oracle", "--field", "5", "--vars", "x", "--poly", "x^2+1"]),
+    ("--n", "0_3", ["geometry", "verify", "--a", "1"]),
+    ("--samples", "1_0", ["geometry", "verify", "--n", "3", "--a", "1"]),
+    ("--seed", "1_0", ["geometry", "verify", "--n", "3", "--a", "1"]),
+    ("--bound", "1_0", ["diophantine"]),
+]
+
+
+@pytest.mark.parametrize("option, text, argv", INTEGER_OPTIONS)
+def test_integer_option_outside_the_grammar_is_usage_error(capsys, option, text, argv):
+    # int() read each of these, so each command ran
+    assert main(argv + [option, text]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: argument {option}: {text!r} is not an integer\n"
+
+
 class TestClassifyCommand:
     def test_heron(self, capsys):
         code, report = run_json(
@@ -90,6 +112,11 @@ class TestClassifyCommand:
         # Q read 1e3 as 1000 and 1.5 as 3/2, F_5 read 1_0 as 10, Q(w) summed its terms
         assert main(["classify", "--field", field, "--m", "3", "--a", a, "--t", "2"]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"usage error: {a!r} is not a literal of ")
+
+    def test_number_split_by_a_space_is_usage_error(self, capsys):
+        # "1 0" was read as 10 = 0 in F_5, and the Heron certificate printed
+        assert main(["classify", "--field", "5", "--m", "3", "--a", "1 0", "--t", "2"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: '1 0' is not a literal of F5\n"
 
     @pytest.mark.parametrize("field, a", [("Q", "1/0"), ("Qw", "1/0*w"), ("5", "2/0")])
     def test_zero_denominator_is_usage_error(self, capsys, field, a):

@@ -4,10 +4,11 @@ from itertools import permutations
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from simplexpoly import family
 from simplexpoly.field import CYCLOTOMIC, RATIONAL, FieldElement, prime_field
-from simplexpoly.poly import Polynomial, poly_to_text
+from simplexpoly.poly import Polynomial, _key, _packed, poly_to_text
 from simplexpoly.family import (
     CayleyMengerRing,
     GParams,
@@ -377,3 +378,39 @@ def test_kernel_refuses_exponents_past_one_byte():
     for degree in (86, 200):
         with pytest.raises(ValueError, match="overflow"):
             family._bordered_determinant(Q, 2, 2, lambda i, j: [(1, {0: degree})])
+
+
+@pytest.mark.parametrize("field", [Q, CYCLOTOMIC, prime_field(3), prime_field(101)], ids=repr)
+def test_kernel_store_is_built_descending(field):
+    # so the sorts of poly_to_text and terms_descending each find one run
+    for n in range(2, 7):
+        for name, build, _, _ in reference_families(field, n):
+            store = list(build()._store)
+            assert store == sorted(store, reverse=True), (name, n)
+
+
+@st.composite
+def packable_pairs(draw):
+    """Two exponent tuples in one arity, each of total degree at most 255;
+    half the time the second permutes the first."""
+    arity = draw(st.integers(1, 21))
+
+    def exponents():
+        exps, left = [], 255
+        for _ in range(arity):
+            exps.append(draw(st.integers(0, left)))
+            left -= exps[-1]
+        return draw(st.permutations(exps))
+
+    a = tuple(exponents())
+    return a, tuple(draw(st.permutations(a)) if draw(st.booleans()) else exponents())
+
+
+@given(packable_pairs())
+def test_packed_order_is_key_order(pair):
+    a, b = pair
+    arity = len(a)
+    pa, pb = (_packed(arity, dict(enumerate(e))) for e in pair)
+    assert (pa < pb) == (_key(a) < _key(b))
+    assert (pa == pb) == (a == b)
+    assert list(Polynomial.from_packed(Q, arity, {pa: 1})._store) == [_key(a)]

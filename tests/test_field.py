@@ -355,6 +355,18 @@ class TestLiterals:
             parse_element(spec, text)
         assert str(raised.value) == f"{text!r} is not a literal of {spec!r}"
 
+    @pytest.mark.parametrize("spec", [RATIONAL, prime_field(5), CYCLOTOMIC], ids=repr)
+    @pytest.mark.parametrize("text", ["1 0", "1/ 2", "- 1", "1 0/3", "1 - w", "2 *w", "1+2* w"])
+    def test_inner_whitespace_refused(self, spec, text):
+        # "1 0" was read as 10: the spaces were deleted before the grammar matched
+        with pytest.raises(ValueError) as raised:
+            parse_element(spec, text)
+        assert str(raised.value) == f"{text!r} is not a literal of {spec!r}"
+
+    def test_surrounding_whitespace_allowed(self):
+        assert parse_element(prime_field(5), " 7\t").value == 2
+        assert parse_element(CYCLOTOMIC, " 1-w ") == FieldElement(CYCLOTOMIC, (1, -1))
+
     @pytest.mark.parametrize(
         "text, value",
         [("+3/4", (Fraction(3, 4), 0)), ("-w", (0, -1)), ("+w", (0, 1)), ("1*w", (0, 1)),

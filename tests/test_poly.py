@@ -1,6 +1,6 @@
 import re
 from fractions import Fraction
-from operator import add
+from operator import add, itemgetter
 from random import Random
 
 import pytest
@@ -664,6 +664,18 @@ class TestSparseMatchesDense:
         assert not any(e in view for e in absent)
         with pytest.raises(KeyError):
             view[(7,) * arity]
+
+    @given(ring_and_polynomials(1), st.booleans())
+    def test_terms_descending_matches_slice_key_order(self, case, homogeneous):
+        field, arity, (a,) = case
+        if homogeneous and a:  # a new first variable fills each term up to the top degree
+            top = max(map(sum, a))
+            a, arity = {(top - sum(e),) + e: c for e, c in a.items()}, arity + 1
+        p = poly(field, arity, a)
+        store = p._store
+        # the order terms_descending sorted every input by
+        reference = sorted(store, key=itemgetter(slice(1, None)), reverse=True)
+        assert list(p.terms_descending()) == [(_exps(k, arity), store[k]) for k in reference]
 
     @given(ring_and_polynomials(1))
     def test_text_round_trip(self, case):
