@@ -18,7 +18,7 @@ import sys
 import time
 import traceback
 from random import Random
-from typing import Dict, Optional, Sequence, Union
+from typing import Callable, Dict, Optional, Sequence, Union
 
 from . import __version__
 from .classify import Char2GParams, classify_cayley_menger, classify_g, verdict_to_json
@@ -49,7 +49,7 @@ from .oracle import (
     SearchBudget,
     brute_force_factor_search,
 )
-from .poly import Polynomial, coefficient_texts, default_names, parse_polynomial, poly_to_text
+from .poly import Polynomial, default_names, parse_polynomial, poly_to_text, terms_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -113,17 +113,13 @@ def parse_field(text: str) -> Union[FieldSpec, Char2Token]:
 
 
 def _poly_payload(p: Polynomial, names: Sequence[str]) -> Dict[str, object]:
-    coefficient = coefficient_texts(p.field, str)
     return {
         "field": repr(p.field),
         "arity": p.arity,
         "names": list(names),
         "polynomial": poly_to_text(p, names),
         "term_count": len(p.terms),
-        "terms": [
-            {"monomial": e, "coefficient": coefficient(c)}
-            for e, c in p.terms_descending()
-        ],
+        "terms": p,  # the term list, which _write_json encodes from p's key store
     }
 
 
@@ -266,19 +262,73 @@ def cmd_diophantine(args: argparse.Namespace) -> Dict[str, object]:
     return payload
 
 
+_FLAT = json.JSONEncoder(sort_keys=True).encode
+_PRETTY = json.JSONEncoder(sort_keys=True, indent=2).encode
+
+
+def _holds_terms(value: dict) -> bool:
+    """Whether a Polynomial, which stands for its term list, lies in value at any depth."""
+    for v in value.values():
+        if type(v) is Polynomial or type(v) is dict and _holds_terms(v):
+            return True
+    return False
+
+
+def _items_text(items: Dict[str, object], indent: Optional[str]) -> str:
+    """The key: value pairs of items as they stand between the braces of a
+    dict at indent's level (with pretty indentation, each after a newline)."""
+    if indent is None:
+        return _FLAT(items)[1:-1]
+    return _PRETTY(items).replace("\n", indent)[1 : -len(indent) - 1]
+
+
+def _write_json(write: Callable[[str], object], value: object, indent: Optional[str]) -> None:
+    """Write value as ``json.dumps(value, sort_keys=True)`` would, or as with
+    ``indent=2`` when indent is a newline and the indentation of value's level.
+    A Polynomial stands for its term list, which ``terms_json`` writes in
+    pieces. A dict that holds one is written in sorted key order: each key
+    that leads to a term list on its own, each run of other keys by one
+    encoder call. Any other value is one encoder call."""
+    if type(value) is Polynomial:
+        for piece in terms_json(value, indent):
+            write(piece)
+    elif type(value) is dict and _holds_terms(value):
+        inner = None if indent is None else indent + "  "
+        comma = ", " if inner is None else ","
+        sep, run = "{", {}
+        for key, item in sorted(value.items()):
+            if type(item) is Polynomial or type(item) is dict and _holds_terms(item):
+                if run:
+                    write(sep + _items_text(run, indent))
+                    sep, run = comma, {}
+                write(f"{sep}{inner or ''}{_FLAT(key)}: ")
+                _write_json(write, item, inner)
+                sep = comma
+            else:
+                run[key] = item
+        if run:
+            write(sep + _items_text(run, indent))
+        write("}" if indent is None else indent + "}")
+    elif indent is None:
+        write(_FLAT(value))
+    else:
+        write(_PRETTY(value).replace("\n", indent))
+
+
 def _emit(args: argparse.Namespace, payload: Dict[str, object], started: float) -> None:
     """Print the report of one subcommand: JSON, or a readable view with --pretty."""
     hidden = ("func", "pretty", "timing")
     inputs = {k: v for k, v in sorted(vars(args).items()) if k not in hidden and v is not None}
     timing = round(time.monotonic() - started, 6) if args.timing else None
     try:
+        write = sys.stdout.write
         if args.pretty:
             print(f"# {args.subcommand} (simplexpoly {__version__})")
             for key, value in inputs.items():
                 print(f"  {key} = {value}")
             if timing is not None:
                 print(f"  timing_s = {timing}")
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            _write_json(write, payload, "\n")
         else:
             report = {
                 "subcommand": args.subcommand,
@@ -287,7 +337,8 @@ def _emit(args: argparse.Namespace, payload: Dict[str, object], started: float) 
                 "timing_s": timing,
                 "version": __version__,
             }
-            print(json.dumps(report, sort_keys=True))
+            _write_json(write, report, None)
+        write("\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout; send what is still buffered to devnull so

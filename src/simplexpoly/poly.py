@@ -20,6 +20,7 @@ threads.
 
 from __future__ import annotations
 
+import json
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dataclass_field
@@ -278,14 +279,18 @@ class Polynomial:
             self.field, self.arity, {k: c for k, c in self._store.items() if k[0] == d}
         )
 
+    def _keys_descending(self) -> List[_Key]:
+        """The keys, exponent tuples descending lexicographically (not grlex):
+        a key without its degree sorts so. Keys of one degree sort so whole,
+        and need no slice."""
+        rest = None if self.is_homogeneous()[0] else itemgetter(slice(1, None))
+        return sorted(self._store, key=rest, reverse=True)
+
     def terms_descending(self) -> Iterator[Tuple[Monomial, object]]:
         """(exponent tuple, coefficient payload) pairs, exponent tuples descending
-        lexicographically (not grlex): a key without its degree sorts so. Keys
-        of one degree sort so whole, and need no slice."""
+        lexicographically (not grlex)."""
         store = self._store
-        rest = None if self.is_homogeneous()[0] else itemgetter(slice(1, None))
-        keys = sorted(store, key=rest, reverse=True)
-        return ((_exps(key, self.arity), store[key]) for key in keys)
+        return ((_exps(key, self.arity), store[key]) for key in self._keys_descending())
 
     def sparse_terms(self) -> List[Tuple[List[Tuple[int, int]], object]]:
         """([(variable, exponent), ...], payload) pairs read off the keys, in store order."""
@@ -435,6 +440,8 @@ class Polynomial:
 # denotes the cube root of unity, never a variable.
 
 _FACTOR = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^([0-9]+))?$")
+# spaces stand only next to an operator or a parenthesis, never inside a name or number
+_INNER_SPACE = re.compile(r"[^ +\-*^()] +[^ +\-*^()]")
 
 
 def _checked_names(
@@ -492,6 +499,42 @@ def poly_to_text(p: Polynomial, names: Optional[Sequence[str]] = None) -> str:
     return "".join(pieces)
 
 
+_TERMS_PER_PIECE = 1024
+
+
+def terms_json(p: Polynomial, indent: Optional[str] = None) -> Iterator[str]:
+    """The JSON text of p's term list, ``[{"coefficient": literal, "monomial":
+    [exponents]}, ...]`` in ``terms_descending`` order, in pieces of at most
+    1,024 terms. The text is ``json.dumps(terms, sort_keys=True)``'s, or with
+    indent (a newline and the indentation of the list's own level) that of
+    ``indent=2``. Each term is written from its key; no exponent tuple or
+    term dict is built."""
+    if not p._store:
+        yield "[]"
+        return
+    if indent is None:
+        first, comma, last = "[", ", ", "]"
+        head, mid, tail, sep = '{"coefficient": ', ', "monomial": [', "]}", ", "
+    else:
+        i1, i2, i3 = (indent + "  " * k for k in (1, 2, 3))
+        open_, close = (i3, i2) if p.arity else ("", "")  # an empty list is "[]"
+        first, comma, last = "[" + i1, "," + i1, indent + "]"
+        head, mid = "{" + i2 + '"coefficient": ', "," + i2 + '"monomial": [' + open_
+        tail, sep = close + "]" + i1 + "}", "," + i3
+    coefficient = coefficient_texts(p.field, lambda c: json.dumps(str(c)))
+    exponent = _Memo(str)
+    store, zeros, keys = p._store, ["0"] * p.arity, p._keys_descending()
+    for start in range(0, len(keys), _TERMS_PER_PIECE):
+        pieces = []
+        for key in keys[start : start + _TERMS_PER_PIECE]:
+            exps = zeros.copy()
+            for i in range(1, len(key), 2):
+                exps[-key[i]] = exponent[key[i + 1]]
+            pieces.append(f"{head}{coefficient(store[key])}{mid}{sep.join(exps)}{tail}")
+        yield (comma if start else first) + comma.join(pieces)
+    yield last
+
+
 def _split(text: str, seps: str, keep: bool) -> Iterator[str]:
     """The pieces of text cut at each of seps outside parentheses: keep starts
     each piece with its separator and makes no empty piece, else separators drop."""
@@ -519,6 +562,8 @@ def parse_polynomial(
     for name in index:
         if not (m := _FACTOR.match(name)) or m.group(2):
             raise ValueError(f"variable name {name!r} is not an identifier")
+    if inner := _INNER_SPACE.search(text):
+        raise ValueError(f"a space may stand only next to + - * ^ ( ), not in {inner.group()!r}")
     compact = text.replace(" ", "")
     if not compact:
         raise ValueError("empty polynomial text")

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -19,9 +20,17 @@ from simplexpoly.cli import (
     main,
     parse_field,
 )
+from simplexpoly.family import prekite_names, prekite_reduction
 from simplexpoly.field import CHAR2, CYCLOTOMIC, RATIONAL, prime_field
 from simplexpoly.geometry import DistanceTuple
-from simplexpoly.poly import default_names, parse_polynomial
+from simplexpoly.poly import (
+    Polynomial,
+    coefficient_texts,
+    default_names,
+    parse_polynomial,
+    poly_to_text,
+    terms_json,
+)
 
 from conftest import polynomials_with_names
 
@@ -593,6 +602,13 @@ class TestInternalErrors:
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == "usage error: unknown factor 'z': the variables are x, y\n"
 
+    def test_polynomial_name_split_by_a_space_is_usage_error(self, capsys):
+        # the text was searched as x1^10 + y, and the candidate budget stopped it (exit 2)
+        argv = ["oracle", "--field", "5", "--vars", "x1,y", "--poly", "x 1^1 0+y"]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "usage error: a space may stand only next to + - * ^ ( ), not in 'x 1'\n"
+
 
 class TestReportShape:
     def test_unknown_subcommand(self, capsys):
@@ -754,11 +770,117 @@ class TestNegativeLiterals:
         assert "expected one argument" in capsys.readouterr().err
 
 
+def _emitted(value, indent=None) -> str:
+    out = io.StringIO()
+    cli._write_json(out.write, value, indent)
+    return out.getvalue()
+
+
 @given(polynomials_with_names())
 def test_payload_coefficients_are_field_literals(case):
     p, names = case
     names = names or default_names(p.arity)
-    terms = cli._poly_payload(p, names)["terms"]
+    terms = json.loads(_emitted(cli._poly_payload(p, names)))["terms"]
     assert terms == [
-        {"monomial": e, "coefficient": str(c)} for e, c in sorted(p.terms.items(), reverse=True)
+        {"monomial": list(e), "coefficient": str(c)} for e, c in sorted(p.terms.items(), reverse=True)
     ]
+
+
+def reference_poly_payload(p, names):
+    """The payload as it was built before its term list was streamed: one dict
+    per term, each holding the dense exponent tuple."""
+    coefficient = coefficient_texts(p.field, str)
+    return {
+        "field": repr(p.field),
+        "arity": p.arity,
+        "names": list(names),
+        "polynomial": poly_to_text(p, names),
+        "term_count": len(p.terms),
+        "terms": [
+            {"monomial": e, "coefficient": coefficient(c)}
+            for e, c in p.terms_descending()
+        ],
+    }
+
+
+def assert_streams_as_whole_report(p, q, names):
+    """One term list, and two as in the prekite report, one and two levels down
+    a report, written flat and with indent=2, equal the whole-report encoding."""
+    shapes = [
+        (cli._poly_payload(p, names), reference_poly_payload(p, names)),
+        (
+            {"quartic_core": cli._poly_payload(q, names), "reduced_determinant": cli._poly_payload(p, names)},
+            {"quartic_core": reference_poly_payload(q, names), "reduced_determinant": reference_poly_payload(p, names)},
+        ),
+    ]
+    for streamed, reference in shapes:
+        report = {"inputs": {"n": 3, "field": "Q"}, "payload": streamed, "timing_s": None, "version": "0"}
+        whole = {**report, "payload": reference}
+        assert _emitted(report) == json.dumps(whole, sort_keys=True)
+        assert _emitted(streamed, "\n") == json.dumps(reference, indent=2, sort_keys=True)
+        assert _emitted(report, "\n") == json.dumps(whole, indent=2, sort_keys=True)
+
+
+@given(polynomials_with_names())
+def test_streamed_report_matches_whole_report_encoding(case):
+    p, names = case
+    assert_streams_as_whole_report(p, p * p, names or default_names(p.arity))
+
+
+def test_streamed_report_edge_cases():
+    w = CYCLOTOMIC.omega_element
+    mixed = Polynomial.from_terms(CYCLOTOMIC, 3, {
+        (256, 0, 1000): w(1, 1), (0, 300, 0): w(-1, 2), (0, 0, 0): w(0, -1), (2, 1, 0): w(5, 0),
+    })
+    zero = Polynomial.zero(CYCLOTOMIC, 3)
+    assert_streams_as_whole_report(mixed, zero, ["x", "y", "z"])
+    assert_streams_as_whole_report(zero, mixed, ["x", "y", "z"])
+    # no variables: each monomial is the empty list
+    assert_streams_as_whole_report(Polynomial.constant(RATIONAL, 0, 5), Polynomial.zero(RATIONAL, 0), [])
+    # past 1,024 terms the list leaves in more than one piece
+    big = Polynomial.from_terms(RATIONAL, 2, {(i, 3000 - i): RATIONAL.from_int(i - 7) for i in range(3000)})
+    assert len(list(terms_json(big))) > 2
+    assert_streams_as_whole_report(big, Polynomial.zero(RATIONAL, 2), ["x", "y"])
+
+
+@pytest.mark.parametrize("field", ["Q", "Qw", "F101"])
+@pytest.mark.parametrize("extra", [[], ["--pretty"]], ids=["json", "pretty"])
+def test_prekite_report_matches_whole_report_encoding(capsys, field, extra):
+    spec = parse_field(field)
+    m_star, h = prekite_reduction(4, spec)
+    names = prekite_names(4)
+    reference = {
+        "reduced_determinant": reference_poly_payload(m_star, names),
+        "quartic_core": reference_poly_payload(h, names),
+    }
+    code, out = run(capsys, "construct", "--family", "prekite", "--field", field, "--n", "4", *extra)
+    assert code == EXIT_OK
+    if extra:
+        assert out[out.index("\n{") + 1:] == json.dumps(reference, indent=2, sort_keys=True) + "\n"
+    else:
+        whole = {**json.loads(out), "payload": reference}
+        assert out == json.dumps(whole, sort_keys=True) + "\n"
+
+
+class _RecordedStdout:
+    """A stdout that keeps the length of each write."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_large_report_leaves_in_bounded_writes(monkeypatch):
+    stdout = _RecordedStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["construct", "--family", "g", "--field", "Q", "--m", "200", "--a", "1", "--t", "5"]) == EXIT_OK
+    sizes = [len(part) for part in stdout.parts]
+    assert max(sizes) <= sum(sizes) / 10
+    payload = json.loads("".join(stdout.parts))["payload"]
+    assert payload["term_count"] == len(payload["terms"]) == 201 * 202 // 2

@@ -484,8 +484,33 @@ class TestTextFormat:
         assert str(raised.value) == f"unknown factor {factor!r}: the variables are x, y"
 
     @pytest.mark.parametrize(
+        "field, text, names, piece",
+        [
+            (F5, "1 0*x", ["x"], "1 0"),  # read as 10 = 0
+            (F5, "x 1^1 0+y", ["x1", "y"], "x 1"),  # read as x1^10 + y
+            (Q, "x^1 0", ["x"], "1 0"),
+            (Q, "2 x", ["x"], "2 x"),
+            (Q, "x y", ["x", "y"], "x y"),
+            (Q, "1 / 2*x", ["x"], "1 /"),  # read as 1/2*x
+            (CYCLOTOMIC, "(1+2 w)*x", ["x"], "2 w"),
+        ],
+        ids=str,
+    )
+    def test_space_inside_a_name_or_number_refused(self, field, text, names, piece):
+        # the parser deleted every space, so each of these was read as if the space were absent
+        with pytest.raises(ValueError) as raised:
+            parse_polynomial(text, field, len(names), names)
+        assert str(raised.value) == f"a space may stand only next to + - * ^ ( ), not in {piece!r}"
+
+    def test_spaces_next_to_operators_allowed(self):
+        x, y = variables(CYCLOTOMIC, 2)
+        w = CYCLOTOMIC.omega_element(1, 1)
+        text = " 2 * x ^ 2 + ( 1 + w ) * y  - y^ 3 "
+        assert parse_polynomial(text, CYCLOTOMIC, 2, ["x", "y"]) == x**2 * 2 + y.scale(w) - y**3
+
+    @pytest.mark.parametrize(
         "field, text, error",
-        [(Q, "1/0*x", "zero denominator in '1/0'"), (F5, "x + 2/0", "zero denominator in '2/0'"),
+        [(Q, "1/0*x", "zero denominator in '1/0'"),(F5, "x + 2/0", "zero denominator in '2/0'"),
          (prime_field(7), "1/7*y", "denominator of 1/7 vanishes mod 7")],
         ids=str,
     )
