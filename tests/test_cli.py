@@ -474,7 +474,7 @@ class TestDiophantineCommand:
         def no_scan(bound):
             raise AssertionError("a refused bound must not start the scan")
 
-        monkeypatch.setattr(diophantine, "_row_steps", no_scan)
+        monkeypatch.setattr(diophantine, "_w_blocks", no_scan)
         for bound in (0, diophantine._MAX_BOUND + 1):
             assert main(["diophantine", "--bound", str(bound)]) == EXIT_USAGE
             assert capsys.readouterr().err.startswith("usage error")

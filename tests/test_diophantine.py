@@ -1,8 +1,8 @@
 import hashlib
 import json
 import math
+import re
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -46,6 +46,11 @@ def _reference_scan(bound):
 @pytest.fixture(scope="module")
 def reference():
     return {b: _reference_scan(b) for b in list(range(1, 61)) + [150]}
+
+
+@pytest.fixture(scope="module")
+def default_outputs():
+    return {b: enumerate_solutions(b) for b in (1, 2, 17, 60, 200)}
 
 
 def _is_square(n):
@@ -141,28 +146,55 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("step", [1, 2, 37])
     def test_steps_hold_whole_rows(self, monkeypatch, step):
+        # a step is a block of whole values of w; w holds the (w, s) keys
+        # s = 2w .. 2 bound, 2 (bound - w) + 1 of them
         monkeypatch.setattr(diophantine, "_STEP", step)
         for bound in (1, 2, 17, 60):
-            rows = []
-            for w, x, n in diophantine._row_steps(bound):
-                assert n.sum() <= step or len(n) == 1
-                rows += zip(w.tolist(), x.tolist(), n.tolist())
-            # row (w, x) holds y = x .. min(bound, w + x)
-            assert rows == [
-                (w, x, min(bound, w + x) - x + 1)
-                for w in range(bound + 1)
-                for x in range(w, bound + 1)
-            ]
+            blocks = list(diophantine._w_blocks(bound))
+            assert [w for lo, hi in blocks for w in range(lo, hi)] == list(range(bound + 1))
+            for lo, hi in blocks:
+                keys = sum(2 * (bound - w) + 1 for w in range(lo, hi))
+                assert keys <= step or hi - lo == 1
 
-    @pytest.mark.parametrize("step", [1, 2, 37, diophantine._STEP])
+    @pytest.mark.parametrize("step", [1, 2, 4, 37, diophantine._STEP])
     def test_steps_are_full(self, monkeypatch, step):
-        # rows are built in bands, but a step closes only when the next row
-        # does not fit, as if the rows were packed one by one
+        # a block closes only when the next value of w does not fit; at bound 1
+        # the two values of w hold 3 + 1 keys, exactly 4
         monkeypatch.setattr(diophantine, "_STEP", step)
         for bound in (1, 17, 60, 200):
-            steps = [n.tolist() for _, _, n in diophantine._row_steps(bound)]
-            for held, following in zip(steps, steps[1:]):
+            blocks = diophantine._w_blocks(bound)
+            keys = [[2 * (bound - w) + 1 for w in range(lo, hi)] for lo, hi in blocks]
+            for held, following in zip(keys, keys[1:]):
                 assert sum(held) + following[0] > step
+
+    @pytest.mark.parametrize("step", [1, 2, 37])
+    def test_step_does_not_change_output(self, monkeypatch, default_outputs, step):
+        monkeypatch.setattr(diophantine, "_STEP", step)
+        for bound, expected in default_outputs.items():
+            assert enumerate_solutions(bound) == expected, bound
+
+    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+    def test_discriminant_factors(self, w, x, y):
+        # Heron's product with s = x + y and delta = y - x, an identity in w, x, y
+        s, delta = x + y, y - x
+        c = w * w + x * x + y * y
+        assert c * c - 2 * (w**4 + x**4 + y**4) == (s * s - w * w) * (w * w - delta * delta)
+
+    @given(st.data())
+    def test_odd_prime_keys_multiply_to_xor(self, data):
+        top = 3 * diophantine._MAX_BOUND
+        a = data.draw(st.integers(1, top))
+        b = data.draw(st.integers(1, top // a))
+        h = diophantine._odd_prime_keys()
+        assert h[a * b] == h[a] ^ h[b]
+
+    def test_primes_have_distinct_nonzero_keys(self):
+        # equal or zero keys would join pairs whose product is no square: the
+        # exact test drops them, but the join would do the work of a full scan
+        top = 3 * diophantine._MAX_BOUND
+        primes = [p for p in range(2, top + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+        keys = {int(diophantine._odd_prime_keys()[p]) for p in primes}
+        assert len(keys) == len(primes) and 0 not in keys
 
     @given(st.lists(st.integers(0, 10**6), min_size=3, max_size=3))
     def test_negative_discriminant_exactly_past_the_triangle(self, sides):
@@ -174,39 +206,40 @@ class TestEnumerate:
 
     @staticmethod
     def _filter_vs_scalar_scan(bound, ws):
-        """The filter's square triples in the rows of ws, against an exact
-        scalar scan of the same w that runs y to the bound, past the cut at
-        y = w + x; returns the triples the rows hold and the scan visits."""
-        exact, visited = [], 0
+        """The join's square triples for the w of the range ws, against an
+        exact scalar scan of the same w that runs y to the bound, past the cut
+        at y = w + x; returns the number of squares."""
+        exact = []
         for w in ws:
             for x in range(w, bound + 1):
                 for y in range(x, bound + 1):
                     c = w * w + x * x + y * y
                     disc = 3 * (c * c - 2 * (w**4 + x**4 + y**4))
-                    visited += 1
                     if _is_square(disc):
                         exact.append((w, x, y, c, math.isqrt(disc)))
-        w_rows, x_rows, n_rows = (np.concatenate(p) for p in zip(*diophantine._row_steps(bound)))
-        mine = np.isin(w_rows, ws)
-        got = diophantine._square_triples(w_rows[mine], x_rows[mine], n_rows[mine])
+        got = diophantine._square_triples(ws.start, ws.stop, bound)
         assert sorted(zip(*(v.tolist() for v in got))) == exact
-        return int(n_rows[mine].sum()), visited, len(exact)
+        return len(exact)
 
     def test_filter_is_exact_at_the_largest_bound(self):
-        # the largest discriminants, up to 9 * bound^4, have exact int64 values
-        # and float roots; for w >= bound / 2 the rows run y to the bound
+        # the largest discriminants, up to 12 * bound^4, have exact int64
+        # values and float roots
         bound = diophantine._MAX_BOUND
-        held, visited, squares = self._filter_vs_scalar_scan(bound, range(bound - 100, bound + 1))
-        assert held == visited
-        assert squares == 109
+        assert self._filter_vs_scalar_scan(bound, range(bound - 100, bound + 1)) == 109
 
     def test_cut_loses_no_square(self):
-        # below bound / 2 the rows stop at y = w + x < bound for x < bound - w
+        # below bound / 2 the triangle cut y <= w + x < bound drops triples
+        # the scalar scan visits
         bound = diophantine._MAX_BOUND
-        w = 400
-        held, visited, squares = self._filter_vs_scalar_scan(bound, [w])
-        assert visited - held == (bound - 2 * w) * (bound - 2 * w + 1) // 2
-        assert squares > 0
+        assert self._filter_vs_scalar_scan(bound, range(400, 401)) > 0
+
+    def test_key_collisions_never_reach_output(self, monkeypatch, reference):
+        # with every key equal the join pairs each (w, s) with each (w, delta)
+        # of its parity, and only the exact square test keeps the squares
+        keys = diophantine._odd_prime_keys() * 0
+        monkeypatch.setattr(diophantine, "_odd_prime_keys", lambda: keys)
+        assert self._filter_vs_scalar_scan(60, range(61)) > 0
+        assert enumerate_solutions(60) == reference[60]
 
     def test_pinned_bound_400(self):
         # recorded from the scan over every (w, x, y) before the triangle cut
@@ -218,14 +251,30 @@ class TestEnumerate:
             "9e397fa9fd5a1bedff4ab9a140faf046595d8fa874e441ae32890a4b426492ae"
         )
 
+    def test_pinned_bound_1000(self):
+        # recorded from the scan over whole (w, x) rows before the join
+        solutions = enumerate_solutions(1000)
+        assert len(solutions) == 1680
+        assert sum(s.primitive for s in solutions) == 148
+        text = json.dumps([[list(s.values), s.primitive] for s in solutions])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f646aa9aa51a8b8497c7220c17d63a748a0068201b13e3d76f9e4ea7e829150f"
+        )
+
     def test_bad_bound(self, monkeypatch):
-        monkeypatch.setattr(diophantine, "_row_steps", _no_scan)
+        monkeypatch.setattr(diophantine, "_w_blocks", _no_scan)
         for bound in (0, diophantine._MAX_BOUND + 1):
             with pytest.raises(ValueError):
                 enumerate_solutions(bound)
 
+    @pytest.mark.parametrize("bound", [10.0, 10.5, True, "10", None])
+    def test_non_integer_bound_refused(self, monkeypatch, bound):
+        monkeypatch.setattr(diophantine, "_w_blocks", _no_scan)
+        with pytest.raises(TypeError, match=f"got {re.escape(repr(bound))}$"):
+            enumerate_solutions(bound)
+
     def test_largest_bound_accepted(self, monkeypatch):
-        monkeypatch.setattr(diophantine, "_row_steps", lambda bound: iter(()))
+        monkeypatch.setattr(diophantine, "_w_blocks", lambda bound: iter(()))
         assert enumerate_solutions(diophantine._MAX_BOUND) == []
 
 
