@@ -119,7 +119,7 @@ def _poly_payload(p: Polynomial, names: Sequence[str]) -> Dict[str, object]:
         "names": list(names),
         "polynomial": poly_to_text(p, names),
         "term_count": len(p.terms),
-        "terms": p,  # the term list, which _write_json encodes from p's key store
+        "terms": p,  # a hole in the encoded report that _write_json fills from p's key store
     }
 
 
@@ -131,6 +131,10 @@ def cmd_construct(args: argparse.Namespace) -> Dict[str, object]:
     if isinstance(field, Char2Token):
         raise UsageError("construct requires a concrete field, not the char-2 token")
     kind = args.family
+    if kind not in ("g", "f") and args.n is not None and args.n > CayleyMengerRing.max_n:
+        raise SizeBudgetExceeded(
+            f"simplex dimension {args.n} is above the limit of {CayleyMengerRing.max_n}"
+        )
     if kind in ("g", "f"):
         if args.m is None or args.t is None:
             raise UsageError(f"family {kind} requires --m and --t")
@@ -262,57 +266,37 @@ def cmd_diophantine(args: argparse.Namespace) -> Dict[str, object]:
     return payload
 
 
-_FLAT = json.JSONEncoder(sort_keys=True).encode
-_PRETTY = json.JSONEncoder(sort_keys=True, indent=2).encode
-
-
-def _holds_terms(value: dict) -> bool:
-    """Whether a Polynomial, which stands for its term list, lies in value at any depth."""
-    for v in value.values():
-        if type(v) is Polynomial or type(v) is dict and _holds_terms(v):
-            return True
-    return False
-
-
-def _items_text(items: Dict[str, object], indent: Optional[str]) -> str:
-    """The key: value pairs of items as they stand between the braces of a
-    dict at indent's level (with pretty indentation, each after a newline)."""
-    if indent is None:
-        return _FLAT(items)[1:-1]
-    return _PRETTY(items).replace("\n", indent)[1 : -len(indent) - 1]
-
-
 def _write_json(write: Callable[[str], object], value: object, indent: Optional[str]) -> None:
     """Write value as ``json.dumps(value, sort_keys=True)`` would, or as with
     ``indent=2`` when indent is a newline and the indentation of value's level.
-    A Polynomial stands for its term list, which ``terms_json`` writes in
-    pieces. A dict that holds one is written in sorted key order: each key
-    that leads to a term list on its own, each run of other keys by one
-    encoder call. Any other value is one encoder call."""
-    if type(value) is Polynomial:
-        for piece in terms_json(value, indent):
-            write(piece)
-    elif type(value) is dict and _holds_terms(value):
-        inner = None if indent is None else indent + "  "
-        comma = ", " if inner is None else ","
-        sep, run = "{", {}
-        for key, item in sorted(value.items()):
-            if type(item) is Polynomial or type(item) is dict and _holds_terms(item):
-                if run:
-                    write(sep + _items_text(run, indent))
-                    sep, run = comma, {}
-                write(f"{sep}{inner or ''}{_FLAT(key)}: ")
-                _write_json(write, item, inner)
-                sep = comma
-            else:
-                run[key] = item
-        if run:
-            write(sep + _items_text(run, indent))
-        write("}" if indent is None else indent + "}")
-    elif indent is None:
-        write(_FLAT(value))
-    else:
-        write(_PRETTY(value).replace("\n", indent))
+    A Polynomial stands for its term list: value is encoded once with a hole
+    in each list's place, and ``terms_json`` writes each list into its hole in
+    pieces. Any other object the encoder cannot take raises TypeError."""
+    polys = []
+
+    def hole(o: object) -> str:
+        if type(o) is not Polynomial:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        polys.append(o)
+        return "\x00"
+
+    text = json.dumps(value, sort_keys=True, indent=None if indent is None else 2, default=hole)
+    # every Polynomial lies in "payload", which sorts after "inputs", the only
+    # key that echoes outside text; holes cut from the right never fall in it
+    pieces = text.rsplit(json.dumps("\x00"), len(polys))
+    del text
+    for p in [*polys, None]:
+        piece = pieces.pop(0)
+        inner = None
+        if indent is not None:
+            line = piece[piece.rfind("\n") + 1 :]
+            inner = indent + line[: len(line) - len(line.lstrip(" "))]
+            piece = piece.replace("\n", indent)
+        write(piece)
+        del piece  # no text written stays alive while a term list streams
+        if p is not None:
+            for part in terms_json(p, inner):
+                write(part)
 
 
 def _emit(args: argparse.Namespace, payload: Dict[str, object], started: float) -> None:

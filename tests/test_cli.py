@@ -20,7 +20,7 @@ from simplexpoly.cli import (
     main,
     parse_field,
 )
-from simplexpoly.family import prekite_names, prekite_reduction
+from simplexpoly.family import CayleyMengerRing, cayley_menger, prekite_names, prekite_reduction
 from simplexpoly.field import CHAR2, CYCLOTOMIC, RATIONAL, prime_field
 from simplexpoly.geometry import DistanceTuple
 from simplexpoly.poly import (
@@ -192,6 +192,26 @@ class TestSizeBudgets:
             assert "terms, above the limit of 100000" in captured.err
         with pytest.raises(Reached):
             main([a.format(m="445") for a in argv])
+
+    @pytest.mark.parametrize(
+        "family", [["cayley-menger"], ["prekite"], ["special", "--rule", "sum"]], ids=lambda f: f[0]
+    )
+    def test_oversized_n_refused_before_building(self, monkeypatch, capsys, family):
+        monkeypatch.setattr(cli, "cayley_menger", reached)
+        monkeypatch.setattr(cli, "prekite_reduction", reached)
+        monkeypatch.setattr(cli, "special_family_substitution", reached)
+        argv = ["construct", "--family", *family, "--field", "Q", "--n"]
+        for n in (7, 10**6):
+            assert main([*argv, str(n)]) == EXIT_BUDGET
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"simplex dimension {n} is above the limit of 6" in captured.err
+        with pytest.raises(Reached):
+            main([*argv, "6"])
+        monkeypatch.undo()
+        # below the range the family refuses n itself, a usage error
+        assert main([*argv, "1"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error:")
 
     def test_oversized_simplex_refused_before_building(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "regular_simplex", reached)
@@ -860,6 +880,53 @@ def test_prekite_report_matches_whole_report_encoding(capsys, field, extra):
     else:
         whole = {**json.loads(out), "payload": reference}
         assert out == json.dumps(whole, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "cayley-menger", "--field", "Q", "--n", "3", "--a", "\x00"],
+        ["--family", "cayley-menger", "--field", "Q", "--n", "3", "--a", '"\x00'],
+        ["--family", "prekite", "--n", "3", "--t", "\x00x\x00"],
+    ],
+)
+def test_echoed_input_never_takes_a_term_list(capsys, argv):
+    # each input encodes to text that holds, or nearly holds, a term list's placeholder
+    code, out = run(capsys, "construct", *argv)
+    assert code == EXIT_OK
+    if argv[1] == "prekite":
+        m_star, h = prekite_reduction(3, RATIONAL)
+        names = prekite_names(3)
+        reference = {
+            "reduced_determinant": reference_poly_payload(m_star, names),
+            "quartic_core": reference_poly_payload(h, names),
+        }
+    else:
+        reference = reference_poly_payload(cayley_menger(3, RATIONAL), CayleyMengerRing(3).names)
+    report = {
+        "subcommand": "construct",
+        "inputs": {"family": argv[1], "field": "Q", "n": 3, "subcommand": "construct", argv[-2][2:]: argv[-1]},
+        "payload": reference,
+        "timing_s": None,
+        "version": simplexpoly.__version__,
+    }
+    assert out == json.dumps(report, sort_keys=True) + "\n"
+
+
+def test_report_written_at_a_deeper_level():
+    p = Polynomial.from_terms(RATIONAL, 2, {(2, 0): RATIONAL.from_int(3), (0, 1): RATIONAL.from_int(-1)})
+    streamed = {"inner": {"core": cli._poly_payload(p, ["x", "y"]), "n": 2}}
+    reference = {"inner": {"core": reference_poly_payload(p, ["x", "y"]), "n": 2}}
+    want = json.dumps(reference, indent=2, sort_keys=True).replace("\n", "\n    ")
+    assert _emitted(streamed, "\n    ") == want
+
+
+@pytest.mark.parametrize("indent", [None, "\n"], ids=["json", "pretty"])
+def test_unencodable_payload_value_raises(indent):
+    p = Polynomial.constant(RATIONAL, 1, 2)
+    for payload in ({"stray": object()}, {"terms": p, "stray": object()}, {"a": object(), "terms": p}):
+        with pytest.raises(TypeError, match="object is not JSON serializable"):
+            _emitted({"payload": payload}, indent)
 
 
 class _RecordedStdout:
