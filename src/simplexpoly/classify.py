@@ -47,6 +47,10 @@ class Factor:
     polynomial: Polynomial
     multiplicity: int
 
+    def __post_init__(self) -> None:
+        if self.multiplicity < 1:
+            raise ValueError(f"factor multiplicity must be at least 1, got {self.multiplicity}")
+
 
 @dataclass(frozen=True)
 class FactorizationCertificate:
@@ -107,18 +111,15 @@ def _char_str(field: Union[FieldSpec, Char2Token]) -> str:
     return str(field.characteristic())
 
 
-def _mod_2(p: Polynomial) -> Optional[Polynomial]:
+def _mod_2(p: Polynomial) -> Polynomial:
     """p with every coefficient replaced by its residue 0 or 1 mod 2.
 
-    None when a coefficient has an even denominator and so no residue.
+    Raises ZeroDivisionError when a coefficient has an even denominator and so no residue.
     """
-    try:
-        return p.map_coefficients(lambda c: residue(c, 2))
-    except ZeroDivisionError:
-        return None
+    return p.map_coefficients(lambda c: residue(c, 2))
 
 
-def _product_mod_2(cert: FactorizationCertificate) -> Optional[Polynomial]:
+def _product_mod_2(cert: FactorizationCertificate) -> Polynomial:
     """unit * prod(factor^multiplicity) mod 2, reduced after every product.
 
     Squares are taken term by term, so the fourth power of a linear form with
@@ -127,7 +128,7 @@ def _product_mod_2(cert: FactorizationCertificate) -> Optional[Polynomial]:
     product = _mod_2(Polynomial.constant(cert.input.field, cert.input.arity, cert.unit))
     for f in cert.factors:
         base, n = _mod_2(f.polynomial), f.multiplicity
-        while n and product is not None and base is not None:
+        while n:
             if n % 2:
                 product = _mod_2(product * base)
             n //= 2
@@ -137,10 +138,16 @@ def _product_mod_2(cert: FactorizationCertificate) -> Optional[Polynomial]:
 
 
 def verify_certificate(cert: FactorizationCertificate) -> bool:
-    """Re-multiply the certificate and compare with its input exactly."""
-    if cert.rule.conditions.get("char") == "2":
-        product = _product_mod_2(cert)
-        return product is not None and product == _mod_2(cert.input)
+    """Re-multiply the certificate and compare with its input exactly.
+
+    A lift over Q claimed for characteristic 2 is compared mod 2, and a
+    coefficient with no residue mod 2 fails the check.
+    """
+    if cert.rule.conditions.get("char") == "2" and cert.input.field == RATIONAL:
+        try:
+            return _product_mod_2(cert) == _mod_2(cert.input)
+        except ZeroDivisionError:
+            return False
     if not cert.factors:
         return Polynomial.constant(cert.input.field, cert.input.arity, cert.unit) == cert.input
     product = reduce(mul, (f.polynomial**f.multiplicity for f in cert.factors))

@@ -309,7 +309,9 @@ def _emit(args: argparse.Namespace, payload: Dict[str, object], started: float) 
         if args.pretty:
             print(f"# {args.subcommand} (simplexpoly {__version__})")
             for key, value in inputs.items():
-                print(f"  {key} = {value}")
+                # a line break or other control character in an input cannot forge a header line
+                shown = json.dumps(value) if isinstance(value, str) and not value.isprintable() else value
+                print(f"  {key} = {shown}")
             if timing is not None:
                 print(f"  timing_s = {timing}")
             _write_json(write, payload, "\n")

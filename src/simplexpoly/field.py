@@ -269,26 +269,19 @@ def _fraction_sqrt(q: Union[int, Fraction]) -> Optional[Union[int, Fraction]]:
     return None
 
 
-def _legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
 def _sqrt_mod_p(a: int, p: int) -> Optional[int]:
     """Tonelli-Shanks; returns the smaller of the two roots, or None."""
     a %= p
     if a == 0:
         return 0
-    if _legendre(a, p) != 1:
+    if pow(a, (p - 1) // 2, p) != 1:  # Euler's criterion: a is a non-residue
         return None
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
         s += 1
     z = 2
-    while _legendre(z, p) != -1:
+    while pow(z, (p - 1) // 2, p) == 1:
         z += 1
     m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
@@ -312,33 +305,17 @@ def is_square(a: FieldElement) -> Optional[FieldElement]:
     if spec.kind != CYCLOTOMIC_KIND:
         r = _fraction_sqrt(a.value) if spec.kind == RATIONAL_KIND else _sqrt_mod_p(a.value, spec.p)
         return None if r is None else FieldElement(spec, r)
-    # Q(w): write a = u + v*sqrt(-3) via w = (-1 + sqrt(-3))/2 and solve
-    # (alpha + beta*sqrt(-3))^2 = a as a rational system.
+    # Q(w): write a = u + v*sqrt(-3), as w = (-1 + sqrt(-3))/2. A root alpha + beta*sqrt(-3)
+    # has u = alpha^2 - 3 beta^2 and v = 2 alpha beta, so the norm u^2 + 3 v^2 is q^2 with
+    # q = alpha^2 + 3 beta^2, and alpha^2 = (u + q)/2; sqrt(-3) = 1 + 2w maps the root back.
     r, s = a.value
     u, v = r - Fraction(s, 2), Fraction(s, 2)
-    if u == 0 and v == 0:
-        return spec.zero()
-
-    def back(alpha: Fraction, beta: Fraction) -> FieldElement:
-        # sqrt(-3) = 1 + 2w
-        return FieldElement(spec, (alpha + beta, 2 * beta))
-
-    if v == 0:
-        alpha = _fraction_sqrt(u)
-        if alpha is not None:
-            return back(alpha, 0)
-        beta = _fraction_sqrt(Fraction(-u, 3))
-        if beta is not None:
-            return back(0, beta)
-        return None
     q = _fraction_sqrt(u * u + 3 * v * v)
-    if q is None:
+    alpha = None if q is None else _fraction_sqrt((u + q) / 2)
+    if alpha is None:
         return None
-    for cand in (Fraction(u + q, 2), Fraction(u - q, 2)):
-        alpha = _fraction_sqrt(cand)
-        if alpha is not None and alpha != 0:
-            return back(alpha, Fraction(v, 2 * alpha))
-    return None
+    beta = v / (2 * alpha) if alpha else _fraction_sqrt(-u / 3)  # alpha = 0 forces v = 0
+    return None if beta is None else FieldElement(spec, (alpha + beta, 2 * beta))
 
 
 def primitive_cube_root(spec: FieldSpec) -> Optional[FieldElement]:

@@ -14,6 +14,7 @@ from simplexpoly.poly import Polynomial, poly_to_text
 from simplexpoly.family import GParams, cayley_menger
 from simplexpoly.classify import (
     Char2GParams,
+    Factor,
     FactorizationCertificate,
     Irreducible,
     ZeroPolynomial,
@@ -245,6 +246,14 @@ class TestClassifyG:
         assert verify_certificate(with_factor(linear.polynomial + x1.scale(2)))
         assert verify_certificate(dataclasses.replace(v, unit=Q.from_int(3)))
 
+    def test_char2_factor_without_residue_fails(self):
+        # before, a factor with no residue mod 2 was skipped, so this passed as
+        # a certificate of (1 + x1^2 + x2^2 + x3^2)^2
+        v = classify_g(Char2GParams(3, 1, 0))
+        x1 = Polynomial.variable(Q, 3, 0)
+        extra = Factor(x1 + Polynomial.constant(Q, 3, Fraction(1, 2)), 1)
+        assert not verify_certificate(dataclasses.replace(v, factors=v.factors + (extra,)))
+
     def test_char2_check_squares_term_by_term(self, monkeypatch):
         # mod 2 a square has no cross terms, so no product of two
         # multi-term polynomials is needed to check (a + x_1 + ... + x_m)^4
@@ -312,6 +321,28 @@ class TestCertificates:
             + v.factors[1:]
         )
         assert not verify_certificate(flipped)
+
+    @staticmethod
+    def _f5_certificate_claiming_char2(poly, factors):
+        rule = classify.ClassificationRule("Claimed", {"char": "2"})
+        return FactorizationCertificate(poly, F5.one(), tuple(Factor(f, 1) for f in factors), rule)
+
+    def test_f5_certificate_claiming_char2_is_not_compared_mod_2(self):
+        # y + 1 and y + 3 agree mod 2, but not over F_5
+        y, one = Polynomial.variable(F5, 1, 0), Polynomial.constant(F5, 1, 1)
+        assert not verify_certificate(self._f5_certificate_claiming_char2(y + one, [y + one.scale(3)]))
+
+    def test_f5_certificate_claiming_char2_is_multiplied_exactly(self):
+        # (y + 2)(y + 3) = y^2 + 1 over F_5, but y^2 + y mod 2
+        y, one = Polynomial.variable(F5, 1, 0), Polynomial.constant(F5, 1, 1)
+        factors = [y + one.scale(2), y + one.scale(3)]
+        assert verify_certificate(self._f5_certificate_claiming_char2(y * y + one, factors))
+
+    @pytest.mark.parametrize("multiplicity", [0, -1])
+    def test_factor_multiplicity_below_one_refused(self, multiplicity):
+        # with multiplicity -1 the mod-2 product check never returned
+        with pytest.raises(ValueError, match="multiplicity must be at least 1"):
+            Factor(Polynomial.variable(Q, 1, 0), multiplicity)
 
     def test_certificate_without_factors_is_its_unit(self):
         rule = classify.ClassificationRule("Constant", {})

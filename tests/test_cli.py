@@ -651,6 +651,15 @@ class TestReportShape:
         assert code == EXIT_OK and key == "  timing_s" and float(value) >= 0
         assert "timing_s" not in run(capsys, "diophantine", "--bound", "5", "--pretty")[1]
 
+    def test_pretty_header_cannot_be_forged(self, capsys):
+        # an input with a line break is shown as its JSON string, on one line
+        code, out = run(capsys, "construct", "--family", "cayley-menger", "--n", "2",
+                        "--a", "1\n  n = 9", "--pretty")
+        lines = out.splitlines()
+        assert code == EXIT_OK and '  a = "1\\n  n = 9"' in lines
+        assert "  family = cayley-menger" in lines
+        assert [line for line in lines if line.startswith("  n = ")] == ["  n = 2"]
+
     def test_pretty_output_is_not_json(self, capsys):
         code, out = run(capsys, "classify", "--field", "Q", "--m", "3", "--a", "0",
                         "--t", "2", "--pretty")

@@ -275,6 +275,18 @@ class TestIsSquare:
             assert root is not None
             assert root * root == sq
 
+    @pytest.mark.parametrize(
+        "spec", [RATIONAL, *map(prime_field, (3, 5, 7, 13, 101)), CYCLOTOMIC], ids=repr
+    )
+    @given(data=st.data())
+    def test_square_factor_keeps_the_square_class(self, spec, data):
+        a = data.draw(elements(spec))
+        b = data.draw(elements(spec).filter(lambda b: not b.is_zero()))
+        roots = {x: is_square(x) for x in (a, a * b * b, b * b)}
+        assert (roots[a] is None) == (roots[a * b * b] is None) and roots[b * b] is not None
+        for x, root in roots.items():
+            assert root is None or root * root == x
+
     def test_tonelli_shanks_moderate_prime(self):
         p = 99991  # 3 (mod 4): 2-adic order 1, so the Tonelli-Shanks loop never runs
         spec = prime_field(p)
